@@ -75,10 +75,11 @@ RunSignature uniSignature(const Config &cfg, const UniApps &apps,
 
 /**
  * Run a multiprocessor application to completion (same contract).
- * @p host_threads / @p quantum select the host-parallel run loops
- * (system/mp_parallel.cc); the (N, 1) exact tier must produce the
- * identical signature to the (1, 1) sequential loop, and that
- * equivalence is the tentpole differential test.
+ * @p host_threads / @p quantum go to MpSystem::setHostParallel:
+ * (1, 1) is the cycle-exact sequential loop, and any quantum > 1
+ * the relaxed tier (system/mp_parallel.cc), whose signature
+ * approximates the sequential one (bench/par_quantum_error measures
+ * how closely).
  */
 RunSignature mpSignature(const Config &cfg, const ParallelAppFn &app,
                          bool check = true,

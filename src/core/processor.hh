@@ -167,6 +167,9 @@ class Processor
     /** All loaded contexts have finished their threads. */
     bool allFinished() const;
 
+    /** True when every issued instruction has retired. */
+    bool drained() const { return inflight_.empty(); }
+
     /** Squash events observed (for Table 4 style microtests). */
     std::uint64_t squashedSlots() const { return squashedSlots_; }
     std::uint64_t switchEvents() const { return switchEvents_; }

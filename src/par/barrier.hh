@@ -1,20 +1,12 @@
 /**
  * @file
- * Host-thread synchronisation primitives for the sharded MP run
- * loops (docs/ARCHITECTURE.md section 10). Two shapes:
- *
- *  - SpinBarrier: a sense-reversing barrier separating relaxed-mode
- *    quanta. All parties (worker shards + coordinator) meet twice
- *    per quantum: once to open the window, once to close it.
- *
- *  - TokenRing: the exact-mode (quantum 1) step counter. One atomic
- *    encodes (cycle, turn); workers tick their node blocks strictly
- *    in global node order, so the interleaving is the sequential
- *    loop's interleaving and results are bit-identical.
- *
- * Both spin briefly then block on std::atomic::wait, because the
- * host may have fewer cores than shards (including exactly one) and
- * a pure spin would invert into a livelock-shaped slowdown there.
+ * The barrier separating the relaxed host-parallel tier's quanta
+ * (docs/ARCHITECTURE.md section 10). All parties (worker shards +
+ * coordinator) meet twice per quantum: once to open the window, once
+ * to close it. Waiters spin briefly then block on std::atomic::wait,
+ * because the host may have fewer cores than shards (including
+ * exactly one) and a pure spin would invert into a livelock-shaped
+ * slowdown there.
  */
 
 #ifndef MTSIM_PAR_BARRIER_HH
@@ -23,7 +15,6 @@
 #include <atomic>
 #include <cstdint>
 
-#include "common/types.hh"
 
 namespace mtsim::par {
 
@@ -67,84 +58,6 @@ class SpinBarrier
     const std::uint32_t parties_;
     std::atomic<std::uint32_t> count_{0};
     std::atomic<std::uint64_t> sense_{0};
-};
-
-/**
- * Exact-mode step counter: for cycle t and W workers the step runs
- * t*(W+1) .. t*(W+1)+W. Worker w owns step value with turn w; the
- * coordinator publishes turn 0 and collects at turn W. The single
- * acquire/release chain through step_ orders every worker's node
- * ticks exactly as the sequential loop would.
- */
-class TokenRing
-{
-  public:
-    explicit TokenRing(std::uint32_t workers) : workers_(workers)
-    {
-        // Idle at the coordinator's slot of a virtual cycle, so
-        // workers launched before the first beginCycle just wait.
-        step_.store(workers_, std::memory_order_relaxed);
-    }
-
-    static constexpr std::uint64_t kStop = ~0ull;
-
-    /** Coordinator: open cycle @p now (worker 0 may proceed). */
-    void
-    beginCycle(Cycle now)
-    {
-        step_.store(now * (workers_ + 1),
-                    std::memory_order_release);
-        step_.notify_all();
-    }
-
-    /** Coordinator: wait until every worker ticked cycle @p now. */
-    void
-    waitCycleDone(Cycle now)
-    {
-        const std::uint64_t want = now * (workers_ + 1) + workers_;
-        std::uint64_t s = step_.load(std::memory_order_acquire);
-        while (s != want)
-            s = spinUntilChanged(step_, s);
-    }
-
-    /** Coordinator: release every worker from its wait loop. */
-    void
-    stop()
-    {
-        step_.store(kStop, std::memory_order_release);
-        step_.notify_all();
-    }
-
-    /**
-     * Worker: block until it is worker @p w's turn. Returns false on
-     * stop(); otherwise fills @p cycle with the cycle to tick.
-     */
-    bool
-    awaitTurn(std::uint32_t w, Cycle *cycle)
-    {
-        std::uint64_t s = step_.load(std::memory_order_acquire);
-        for (;;) {
-            if (s == kStop)
-                return false;
-            if (s % (workers_ + 1) == w) {
-                *cycle = s / (workers_ + 1);
-                return true;
-            }
-            s = spinUntilChanged(step_, s);
-        }
-    }
-
-    /** Worker: pass the token to the next party. */
-    void
-    completeTurn()
-    {
-        step_.fetch_add(1, std::memory_order_acq_rel);
-        step_.notify_all();
-    }
-
-  private:
-    const std::uint32_t workers_;
-    std::atomic<std::uint64_t> step_{kStop};
 };
 
 } // namespace mtsim::par

@@ -1,25 +1,23 @@
 /**
  * @file
- * The two host-parallel MP run loops (docs/ARCHITECTURE.md section
- * 10). Exact mode (quantum 1) drives worker threads through a token
- * ring so node ticks interleave exactly as the sequential loop's and
- * every result is bit-identical; relaxed mode (quantum K > 1) lets
- * shards really run concurrently inside each quantum, exchanging
- * cross-node coherence traffic and sync wakes through mailboxes at
- * (or before) quantum barriers, trading bounded metric error for
- * speed. The error is measured, never assumed (tools/mtsim_diff).
+ * The relaxed host-parallel MP run loop (docs/ARCHITECTURE.md section
+ * 10): shards really run concurrently inside each quantum of K > 1
+ * cycles, exchanging cross-node coherence traffic and sync wakes
+ * through mailboxes at (or before) quantum barriers, trading metric
+ * error for speed. The error is measured, never assumed
+ * (bench/par_quantum_error, tools/mtsim_diff).
  */
 
 #include <algorithm>
 #include <atomic>
 #include <exception>
 #include <mutex>
+#include <span>
 #include <stdexcept>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "obs/why_ledger.hh"
 #include "par/barrier.hh"
 #include "par/mailbox.hh"
 #include "par/probe_merge.hh"
@@ -81,118 +79,18 @@ class ShardRouter final : public Processor::WakeRouter
 
 } // namespace
 
-/**
- * Exact tier: the coordinator runs the sequential decision loop
- * verbatim (fast-forward, memory tick, checker, ledger, stats,
- * sampler, progress); only the per-cycle processor ticks are handed
- * to worker threads, gated one block at a time in global node order
- * by the token ring. Identical interleaving, identical results.
- */
-Cycle
-MpSystem::runExactParallel(Cycle end)
+void
+MpSystem::setHostParallel(std::uint32_t host_threads, Cycle quantum)
 {
-    const ProcId P = cfg_.numProcessors;
-    const std::uint32_t W =
-        std::min<std::uint32_t>(hostThreads_, P);
-    par::TokenRing ring(W);
-    std::atomic<bool> abort{false};
-    std::exception_ptr err;
-    std::mutex errMu;
-
-    std::vector<std::thread> workers;
-    workers.reserve(W);
-    for (std::uint32_t w = 0; w < W; ++w) {
-        const auto [lo, hi] = blockOf(w, W, P);
-        workers.emplace_back([&, lo, hi, w] {
-            Cycle c = 0;
-            while (ring.awaitTurn(w, &c)) {
-                if (!abort.load(std::memory_order_relaxed)) {
-                    try {
-                        for (ProcId p = lo; p < hi; ++p)
-                            procs_[p]->tick(c);
-                    } catch (...) {
-                        {
-                            std::lock_guard<std::mutex> g(errMu);
-                            if (!err)
-                                err = std::current_exception();
-                        }
-                        abort.store(true,
-                                    std::memory_order_relaxed);
-                    }
-                }
-                // Always pass the token, or the ring deadlocks.
-                ring.completeTurn();
-            }
-        });
-    }
-
-    auto shutdown = [&] {
-        ring.stop();
-        for (auto &t : workers)
-            t.join();
-    };
-
-    try {
-        bool armed = true;
-        while (now_ < end) {
-            if (ffEnabled_ && armed) {
-                if (tryFastForward(end))
-                    continue;
-                armed = false;
-            }
-            if (mem_.nextTickAt() <= now_) {
-                MTSIM_PROF_SCOPE("mem.tick");
-                mem_.tick(now_);
-            }
-            {
-                MTSIM_PROF_SCOPE("pipeline");
-                ring.beginCycle(now_);
-                ring.waitCycleDone(now_);
-            }
-            if (abort.load(std::memory_order_relaxed))
-                break;
-            if (checker_) {
-                MTSIM_PROF_SCOPE("checker");
-                checker_->onCycleEnd(now_);
-            }
-            if (why_) {
-                MTSIM_PROF_SCOPE("why");
-                why_->onCycleEnd(now_);
-            }
-            if (statsPending_) {
-                clearAllStats();
-                if (checker_)
-                    checker_->onStatsClear(now_);
-                if (why_)
-                    why_->onStatsClear(now_);
-            }
-            if (sampler_) {
-                Cycle busy = 0;
-                for (const auto &p : procs_)
-                    busy += p->breakdown().get(CycleClass::Busy);
-                sampler_->observe(now_, static_cast<double>(busy));
-            }
-            if (progress_ && (now_ & 0xFFF) == 0)
-                progress_->poll(now_, retired());
-            ++now_;
-            for (const auto &p : procs_) {
-                if (p->stateChangedLastTick()) {
-                    armed = true;
-                    break;
-                }
-            }
-            if ((now_ & 63) == 0 && finished())
-                break;
-        }
-    } catch (...) {
-        shutdown();
-        throw;
-    }
-    shutdown();
-    if (err)
-        std::rethrow_exception(err);
-    measured_ = now_ - statsStart_;
-    return measured_;
+    if (host_threads == 0 || quantum == 0)
+        throw std::invalid_argument(
+            "setHostParallel: host threads and quantum must be >= 1");
+    if (host_threads > 1 && quantum == 1)
+        throw std::invalid_argument(
+            "setHostParallel: more than one host thread needs a "
+            "quantum > 1 (quantum 1 is the sequential loop)");
+    hostThreads_ = host_threads;
+    quantum_ = quantum;
 }
 
 /**
@@ -208,11 +106,12 @@ MpSystem::runExactParallel(Cycle end)
 Cycle
 MpSystem::runRelaxedParallel(Cycle end)
 {
-    if (checker_ || why_ || sampler_) {
+    if (obs_.cycleExact()) {
         throw std::logic_error(
             "relaxed host-parallel mode (quantum > 1) cannot "
             "preserve cycle-exact observation; drop "
-            "--check/--why/--sample-interval or use --quantum 1");
+            "--check/--why/--sample-interval or run the sequential "
+            "loop (host threads 1, quantum 1)");
     }
     const ProcId P = cfg_.numProcessors;
     const std::uint32_t W =
@@ -220,10 +119,6 @@ MpSystem::runRelaxedParallel(Cycle end)
 
     std::vector<std::uint32_t> shardOf(P);
     std::vector<std::pair<ProcId, ProcId>> blocks(W);
-    std::vector<Processor *> rawProcs;
-    rawProcs.reserve(P);
-    for (const auto &p : procs_)
-        rawProcs.push_back(p.get());
     for (std::uint32_t w = 0; w < W; ++w) {
         blocks[w] = blockOf(w, W, P);
         for (ProcId p = blocks[w].first; p < blocks[w].second; ++p)
@@ -232,7 +127,7 @@ MpSystem::runRelaxedParallel(Cycle end)
 
     par::CohMailboxGrid mail(P);
     std::vector<par::WakeMailbox> wakeBoxes(W);
-    ShardRouter router(rawProcs, shardOf, &wakeBoxes);
+    ShardRouter router(obs_.nodes(), shardOf, &wakeBoxes);
     for (auto &p : procs_)
         p->setWakeRouter(&router);
     mem_.setParMode(&mail);
@@ -249,9 +144,11 @@ MpSystem::runRelaxedParallel(Cycle end)
     // One shard-quantum: drain wakes each local cycle, fast-forward
     // locally when the whole shard is provably stalled, tick own
     // nodes' memory events then pipelines.
+    const std::span<Processor *const> nodes = obs_.nodes();
     auto runShardQuantum = [&](std::uint32_t w, Cycle from,
                                Cycle to) {
         const auto [lo, hi] = blocks[w];
+        const auto shard = nodes.subspan(lo, hi - lo);
         auto &wakeBox = wakeBoxes[w];
         std::vector<par::WakeMsg> wakes;
         std::vector<Processor::FastForwardPlan> plans(hi - lo);
@@ -266,30 +163,14 @@ MpSystem::runRelaxedParallel(Cycle end)
             }
             if (ffEnabled_ && armed) {
                 MTSIM_PROF_SCOPE("fastforward");
-                bool ok = true;
-                for (ProcId p = lo; p < hi && ok; ++p) {
-                    if (procs_[p]->issuedLastTick() ||
-                        procs_[p]->shortStallHint())
-                        ok = false;
-                }
-                Cycle until = to;
-                for (ProcId p = lo; p < hi && ok; ++p) {
-                    if (!procs_[p]->planFastForward(
-                            c, until, plans[p - lo]))
-                        ok = false;
-                    else if (plans[p - lo].until < until)
-                        until = plans[p - lo].until;
-                }
-                if (ok && until > c + 1) {
-                    for (ProcId p = lo; p < hi; ++p) {
-                        if (plans[p - lo].needOwnerCommit)
-                            procs_[p]->beginFastForward(c);
-                    }
+                const Cycle until =
+                    planSkipWindow(shard, c, to, plans.data());
+                if (until != 0) {
+                    // Node events are node-local here, so each node
+                    // drains and is attributed on its own.
                     for (ProcId p = lo; p < hi; ++p) {
                         if (mem_.nextNodeTickAt(p) <= until - 1)
                             mem_.tickNode(p, until - 1);
-                    }
-                    for (ProcId p = lo; p < hi; ++p) {
                         if (plans[p - lo].attribute)
                             procs_[p]->addSkippedCycles(
                                 plans[p - lo].cls, until - c);
@@ -378,11 +259,14 @@ MpSystem::runRelaxedParallel(Cycle end)
                                       mergeScratch);
             if (err)
                 break;
-            if (statsPending_)
-                clearAllStats();
-            if (progress_)
-                progress_->poll(now_, retired());
-            if (finished())
+            obs_.settleStatsClear(now_);
+            obs_.pollProgress(now_);
+            // A quantum can close with every stream consumed but
+            // instructions still in flight; run on until they retire,
+            // so a completed run has retired every thread's program.
+            if (finished() &&
+                std::all_of(procs_.begin(), procs_.end(),
+                            [](const auto &p) { return p->drained(); }))
                 break;
         }
     } catch (...) {
@@ -392,7 +276,7 @@ MpSystem::runRelaxedParallel(Cycle end)
     shutdown();
     if (err)
         std::rethrow_exception(err);
-    measured_ = now_ - statsStart_;
+    measured_ = now_ - obs_.statsStart();
     return measured_;
 }
 

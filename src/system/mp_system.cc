@@ -1,8 +1,5 @@
 #include "system/mp_system.hh"
 
-#include "metrics/json_stats.hh"
-#include "obs/flight_recorder.hh"
-#include "obs/why_ledger.hh"
 #include "workload/replay.hh"
 
 namespace mtsim {
@@ -39,6 +36,9 @@ MpSystem::MpSystem(const Config &cfg)
             cfg_, mem_, p, &sync_, n_threads));
         procs_.back()->setProbeBus(&probes_);
     }
+    for (auto &p : procs_)
+        obs_.addNode(p.get());
+    ffPlans_.resize(procs_.size());
     mem_.setProbeBus(&probes_);
     sync_.setProbeBus(&probes_);
 }
@@ -92,80 +92,31 @@ MpSystem::setStatsBarrier(std::uint32_t id)
 {
     statsBarrier_ = id;
     sync_.setBarrierHook([this](std::uint32_t bid, Cycle) {
-        if (bid == statsBarrier_ && !statsCleared_)
-            statsPending_ = true;
+        if (bid == statsBarrier_)
+            obs_.requestStatsClear();
     });
 }
 
 void
 MpSystem::enableChecking(const CheckConfig &cc)
 {
-    if (checker_)
+    InvariantChecker *ck = obs_.enableChecking(cc, cfg_, probes_);
+    if (!ck)
         return;
-    std::vector<Processor *> procs;
-    procs.reserve(procs_.size());
-    for (auto &p : procs_)
-        procs.push_back(p.get());
-    checker_ = std::make_unique<InvariantChecker>(cc, cfg_,
-                                                  std::move(procs));
     for (ProcId p = 0; p < cfg_.numProcessors; ++p)
-        checker_->setResources(p, &mem_.mshrs(p),
-                               &mem_.writeBuffer(p));
-    probes_.addSink(checker_.get());
+        ck->setResources(p, &mem_.mshrs(p), &mem_.writeBuffer(p));
 }
 
 void
 MpSystem::attachWhyLedger(WhyLedger *why)
 {
-    probes_.addSink(why);
-    why_ = why;
+    obs_.attachWhyLedger(why, probes_);
 }
 
 void
 MpSystem::attachFlightRecorder(FlightRecorder *fr)
 {
-    probes_.addSink(fr);
-    fr->setStateSnapshot([this](JsonWriter &w) {
-        w.beginObject();
-        w.kv("cycle", static_cast<std::uint64_t>(now_));
-        w.kv("measured_cycles",
-             static_cast<std::uint64_t>(measured_));
-        w.key("processors");
-        w.beginArray();
-        for (ProcId p = 0; p < cfg_.numProcessors; ++p) {
-            const Processor &proc = *procs_[p];
-            w.beginObject();
-            w.kv("proc", static_cast<std::uint64_t>(p));
-            w.kv("retired", proc.retired());
-            w.key("contexts");
-            w.beginArray();
-            for (CtxId c = 0; c < proc.numContexts(); ++c) {
-                const ThreadContext &ctx = proc.context(c);
-                w.beginObject();
-                w.kv("loaded", ctx.loaded());
-                w.kv("finished", ctx.loaded() && ctx.finished());
-                w.endObject();
-            }
-            w.endArray();
-            w.endObject();
-        }
-        w.endArray();
-        if (why_) {
-            w.key("why_last_window");
-            why_->writeLastClosedJson(w);
-        }
-        w.endObject();
-    });
-}
-
-void
-MpSystem::clearAllStats()
-{
-    for (auto &p : procs_)
-        p->clearStats(now_);
-    statsStart_ = now_;
-    statsCleared_ = true;
-    statsPending_ = false;
+    obs_.attachFlightRecorder(fr, probes_, &now_, &measured_);
 }
 
 bool
@@ -182,84 +133,16 @@ bool
 MpSystem::tryFastForward(Cycle end)
 {
     MTSIM_PROF_SCOPE("fastforward");
-    // A processor that issued last cycle cannot prove a window, and
-    // the finished()-break below must keep observing its 64-cycle
-    // boundaries, so both decline outright.
-    for (const auto &p : procs_) {
-        if (p->issuedLastTick() || p->shortStallHint())
-            return false;
-    }
+    // The finished()-break in run() must keep observing its 64-cycle
+    // boundaries. Only when ALL nodes are provably stalled can no
+    // context wake another through the sync manager mid-window.
     if (finished())
         return false;
-    // Two-phase: plan every node against the shrinking window (a
-    // plan stays valid on any prefix of itself), then commit. Only
-    // when ALL nodes are provably stalled can no context wake
-    // another through the sync manager mid-window.
-    Cycle until = end;
-    ffPlans_.resize(procs_.size());
-    for (std::size_t i = 0; i < procs_.size(); ++i) {
-        if (!procs_[i]->planFastForward(now_, until, ffPlans_[i]))
-            return false;
-        if (ffPlans_[i].until < until)
-            until = ffPlans_[i].until;
-    }
-    if (until <= now_ + 1)
+    const Cycle until =
+        planSkipWindow(obs_.nodes(), now_, end, ffPlans_.data());
+    if (until == 0)
         return false;
-    for (std::size_t i = 0; i < procs_.size(); ++i) {
-        if (ffPlans_[i].needOwnerCommit)
-            procs_[i]->beginFastForward(now_);
-    }
-    if (checker_) {
-        // Checker replay: identical per-cycle streams to lockstep.
-        for (Cycle c = now_; c < until; ++c) {
-            if (mem_.nextTickAt() <= c)
-                mem_.tick(c);
-            for (std::size_t i = 0; i < procs_.size(); ++i) {
-                if (ffPlans_[i].attribute)
-                    procs_[i]->addSkippedCycles(ffPlans_[i].cls, 1);
-            }
-            checker_->onCycleEnd(c);
-            if (why_)
-                why_->onCycleEnd(c);
-            if (sampler_) {
-                Cycle busy = 0;
-                for (const auto &p : procs_)
-                    busy += p->breakdown().get(CycleClass::Busy);
-                sampler_->observe(c, static_cast<double>(busy));
-            }
-            if (progress_ && (c & 0xFFF) == 0)
-                progress_->poll(c, retired());
-        }
-    } else {
-        // Bulk: one memory drain (callbacks keep their original
-        // timestamps) and one aggregate attribution per node. The
-        // ledger and sampler fold each node's window in whole - no
-        // busy slot can accrue inside one - so neither forces
-        // per-cycle replay.
-        if (mem_.nextTickAt() <= until - 1)
-            mem_.tick(until - 1);
-        for (std::size_t i = 0; i < procs_.size(); ++i) {
-            if (ffPlans_[i].attribute)
-                procs_[i]->addSkippedCycles(ffPlans_[i].cls,
-                                            until - now_);
-        }
-        if (why_) {
-            for (std::size_t i = 0; i < procs_.size(); ++i) {
-                why_->onBulkWindow(static_cast<ProcId>(i), now_,
-                                   until, ffPlans_[i].cls,
-                                   ffPlans_[i].attribute);
-            }
-        }
-        if (sampler_) {
-            Cycle busy = 0;
-            for (const auto &p : procs_)
-                busy += p->breakdown().get(CycleClass::Busy);
-            sampler_->observeWindow(now_, until,
-                                    static_cast<double>(busy));
-        }
-        if (progress_)
-            progress_->poll(until - 1, retired());
-    }
+    obs_.onWindow(mem_, ffPlans_.data(), now_, until);
     ffCycles_ += until - now_;
     now_ = until;
     return true;
@@ -271,8 +154,6 @@ MpSystem::run(Cycle max_cycles)
     const Cycle end = now_ + max_cycles;
     if (quantum_ > 1)
         return runRelaxedParallel(end);
-    if (hostThreads_ > 1)
-        return runExactParallel(end);
     // Same arming heuristic as UniSystem::runLoop: a declined plan
     // stays declined until some node's planner-visible state changes.
     bool armed = true;
@@ -292,29 +173,7 @@ MpSystem::run(Cycle max_cycles)
             for (auto &p : procs_)
                 p->tick(now_);
         }
-        if (checker_) {
-            MTSIM_PROF_SCOPE("checker");
-            checker_->onCycleEnd(now_);
-        }
-        if (why_) {
-            MTSIM_PROF_SCOPE("why");
-            why_->onCycleEnd(now_);
-        }
-        if (statsPending_) {
-            clearAllStats();
-            if (checker_)
-                checker_->onStatsClear(now_);
-            if (why_)
-                why_->onStatsClear(now_);
-        }
-        if (sampler_) {
-            Cycle busy = 0;
-            for (const auto &p : procs_)
-                busy += p->breakdown().get(CycleClass::Busy);
-            sampler_->observe(now_, static_cast<double>(busy));
-        }
-        if (progress_ && (now_ & 0xFFF) == 0)
-            progress_->poll(now_, retired());
+        obs_.onCycle(now_);
         ++now_;
         for (const auto &p : procs_) {
             if (p->stateChangedLastTick()) {
@@ -325,7 +184,7 @@ MpSystem::run(Cycle max_cycles)
         if ((now_ & 63) == 0 && finished())
             break;
     }
-    measured_ = now_ - statsStart_;
+    measured_ = now_ - obs_.statsStart();
     return measured_;
 }
 

@@ -25,13 +25,11 @@
 #include "obs/probe.hh"
 #include "prof/progress.hh"
 #include "sync/sync_manager.hh"
+#include "system/observer_set.hh"
 #include "workload/emitter.hh"
 #include "workload/program.hh"
 
 namespace mtsim {
-
-class FlightRecorder;
-class WhyLedger;
 
 /**
  * Builds the per-thread kernels of one parallel application: given
@@ -74,24 +72,17 @@ class MpSystem
     Cycle run(Cycle max_cycles = 500000000ull);
 
     /**
-     * Shard the run across @p host_threads worker threads advancing
-     * in lock-step quanta of @p quantum cycles (docs/ARCHITECTURE.md
-     * section 10). With quantum 1 the workers tick their node blocks
-     * in strict global node order through a token ring, so results -
-     * probe digest, retired counts, breakdown, checking, the why
-     * ledger, fast-forward - are bit-identical to the sequential
-     * loop. With quantum > 1 (relaxed mode) shards really run
-     * concurrently and exchange cross-node traffic at quantum
-     * barriers; results are approximate and nondeterministic
-     * run-to-run, so checking/why/sampling are rejected there. Call
-     * before run(); (1, 1) restores the sequential loop.
+     * Select the run loop (docs/ARCHITECTURE.md section 10). (1, 1),
+     * the default, is the cycle-exact sequential loop. Any
+     * @p quantum > 1 is the relaxed tier: @p host_threads workers
+     * run contiguous node blocks concurrently and exchange cross-node
+     * traffic at barriers every @p quantum cycles. Its results are
+     * approximate and nondeterministic run to run, so run() rejects
+     * checking, the why ledger and sampling there. Throws
+     * std::invalid_argument on a zero argument and on more than one
+     * host thread at quantum 1. Call before run().
      */
-    void
-    setHostParallel(std::uint32_t host_threads, Cycle quantum)
-    {
-        hostThreads_ = host_threads;
-        quantum_ = quantum;
-    }
+    void setHostParallel(std::uint32_t host_threads, Cycle quantum);
 
     std::uint32_t hostThreads() const { return hostThreads_; }
     Cycle quantum() const { return quantum_; }
@@ -133,18 +124,14 @@ class MpSystem
      * through observeWindow, so sampling never disables
      * fast-forward). Pass nullptr to detach.
      */
-    void setSampler(IntervalSampler *sampler) { sampler_ = sampler; }
+    void setSampler(IntervalSampler *sampler) { obs_.setSampler(sampler); }
 
     /**
      * Attach a host-side progress heartbeat, polled every few
      * thousand simulated cycles. Pass nullptr to detach. Passive:
      * simulation results are unaffected.
      */
-    void
-    setProgress(prof::ProgressMeter *progress)
-    {
-        progress_ = progress;
-    }
+    void setProgress(prof::ProgressMeter *p) { obs_.setProgress(p); }
 
     /**
      * Enable or disable event-driven fast-forward (default on).
@@ -164,10 +151,9 @@ class MpSystem
     void enableChecking(const CheckConfig &cc = CheckConfig{});
 
     /** The attached checker, or nullptr when checking is off. */
-    InvariantChecker *checker() { return checker_.get(); }
+    InvariantChecker *checker() { return obs_.checker(); }
 
   private:
-    void clearAllStats();
     /**
      * Attempt one fast-forward jump from now_: valid only when every
      * processor proves a stall window, because a single issuing
@@ -176,8 +162,7 @@ class MpSystem
      */
     bool tryFastForward(Cycle end);
 
-    /** The two host-parallel run loops (system/mp_parallel.cc). */
-    Cycle runExactParallel(Cycle end);
+    /** The relaxed host-parallel tier (system/mp_parallel.cc). */
     Cycle runRelaxedParallel(Cycle end);
 
     Config cfg_;
@@ -186,16 +171,10 @@ class MpSystem
     SyncManager sync_;
     std::vector<std::unique_ptr<Processor>> procs_;
     std::vector<std::unique_ptr<InstrSource>> sources_;
-    std::unique_ptr<InvariantChecker> checker_;
-    WhyLedger *why_ = nullptr;
-    IntervalSampler *sampler_ = nullptr;
-    prof::ProgressMeter *progress_ = nullptr;
+    ObserverSet obs_;
     Cycle now_ = 0;
-    Cycle statsStart_ = 0;
     Cycle measured_ = 0;
     std::uint32_t statsBarrier_ = ~0u;
-    bool statsCleared_ = false;
-    bool statsPending_ = false;
     bool ffEnabled_ = true;
     Cycle ffCycles_ = 0;
     std::uint32_t hostThreads_ = 1;

@@ -1,10 +1,8 @@
 #include "system/uni_system.hh"
 
+#include <algorithm>
 #include <cassert>
 
-#include "metrics/json_stats.hh"
-#include "obs/flight_recorder.hh"
-#include "obs/why_ledger.hh"
 #include "workload/replay.hh"
 
 namespace mtsim {
@@ -42,6 +40,7 @@ UniSystem::UniSystem(const Config &cfg)
     mem_.setProbeBus(&probes_);
     proc_.setProbeBus(&probes_);
     sched_.setProbeBus(&probes_);
+    obs_.addNode(&proc_);
 }
 
 std::uint32_t
@@ -75,12 +74,8 @@ UniSystem::enableChecking(const CheckConfig &cc)
     // The shadow state is rebuilt from the probe stream; attaching
     // after cycles already ran would make it diverge from reality.
     assert(!started_ && "enableChecking must precede the first run");
-    if (checker_)
-        return;
-    checker_ = std::make_unique<InvariantChecker>(
-        cc, cfg_, std::vector<Processor *>{&proc_});
-    checker_->setResources(0, &mem_.mshrs(), &mem_.writeBuffer());
-    probes_.addSink(checker_.get());
+    if (InvariantChecker *ck = obs_.enableChecking(cc, cfg_, probes_))
+        ck->setResources(0, &mem_.mshrs(), &mem_.writeBuffer());
 }
 
 void
@@ -89,42 +84,13 @@ UniSystem::attachWhyLedger(WhyLedger *why)
     // Like the checker, the ledger rebuilds attribution from the
     // probe stream; attaching mid-run would desynchronize it.
     assert(!started_ && "attachWhyLedger must precede the first run");
-    probes_.addSink(why);
-    why_ = why;
+    obs_.attachWhyLedger(why, probes_);
 }
 
 void
 UniSystem::attachFlightRecorder(FlightRecorder *fr)
 {
-    probes_.addSink(fr);
-    fr->setStateSnapshot([this](JsonWriter &w) {
-        w.beginObject();
-        w.kv("cycle", static_cast<std::uint64_t>(now_));
-        w.kv("measured_cycles",
-             static_cast<std::uint64_t>(measured_));
-        w.key("processors");
-        w.beginArray();
-        w.beginObject();
-        w.kv("proc", std::uint64_t{0});
-        w.kv("retired", proc_.retired());
-        w.key("contexts");
-        w.beginArray();
-        for (CtxId c = 0; c < proc_.numContexts(); ++c) {
-            const ThreadContext &ctx = proc_.context(c);
-            w.beginObject();
-            w.kv("loaded", ctx.loaded());
-            w.kv("finished", ctx.loaded() && ctx.finished());
-            w.endObject();
-        }
-        w.endArray();
-        w.endObject();
-        w.endArray();
-        if (why_) {
-            w.key("why_last_window");
-            why_->writeLastClosedJson(w);
-        }
-        w.endObject();
-    });
+    obs_.attachFlightRecorder(fr, probes_, &now_, &measured_);
 }
 
 void
@@ -134,18 +100,16 @@ UniSystem::run(Cycle warmup, Cycle measure)
         sched_.start();
         started_ = true;
     }
-    runLoop(now_ + warmup, false);
-    proc_.clearStats(now_);
-    if (checker_)
-        checker_->onStatsClear(now_);
-    if (why_)
-        why_->onStatsClear(now_);
-    runLoop(now_ + measure, true);
+    obs_.setSampling(false);
+    runLoop(now_ + warmup);
+    obs_.clearStats(now_);
+    obs_.setSampling(true);
+    runLoop(now_ + measure);
     measured_ += measure;
 }
 
 void
-UniSystem::runLoop(Cycle end, bool measuring)
+UniSystem::runLoop(Cycle end)
 {
     // Consult the fast-forward planner only while "armed": a busy
     // pipeline cannot prove a window, and a declined plan stays
@@ -155,7 +119,7 @@ UniSystem::runLoop(Cycle end, bool measuring)
     while (now_ < end) {
         if (ffEnabled_ && armed && !proc_.issuedLastTick() &&
             !proc_.shortStallHint()) {
-            if (tryFastForward(end, measuring))
+            if (tryFastForward(end))
                 continue;
             armed = false;
         }
@@ -176,75 +140,26 @@ UniSystem::runLoop(Cycle end, bool measuring)
             MTSIM_PROF_SCOPE("pipeline");
             proc_.tick(now_);
         }
-        if (checker_) {
-            MTSIM_PROF_SCOPE("checker");
-            checker_->onCycleEnd(now_);
-        }
-        if (why_) {
-            MTSIM_PROF_SCOPE("why");
-            why_->onCycleEnd(now_);
-        }
-        if (measuring && sampler_)
-            sampler_->observe(now_, static_cast<double>(
-                proc_.breakdown().get(CycleClass::Busy)));
-        if (progress_ && (now_ & 0xFFF) == 0)
-            progress_->poll(now_, proc_.retired());
+        obs_.onCycle(now_);
         ++now_;
         if (proc_.stateChangedLastTick() || sched_acts)
             armed = true;
         // RAW-stall batch: the tick just proved its remaining stall
-        // cycles are bit-identical pure stalls; advance them in one
-        // pass instead of re-deriving each one. The window may not
-        // cross the scheduler's next action cycle (its tick is a
-        // provable no-op before then). Gated with fast-forward so
-        // --no-fast-forward still means pure lockstep.
-        Cycle b_until;
-        CycleClass b_cls;
-        if (ffEnabled_ &&
-            proc_.takeStallBatch(now_, &b_until, &b_cls)) {
-            if (sched_.nextActionCycle() < b_until)
-                b_until = sched_.nextActionCycle();
-            if (end < b_until)
-                b_until = end;
-            if (b_until > now_) {
-                if (checker_) {
-                    // Checker replay: identical per-cycle streams
-                    // to lockstep (as in tryFastForward).
-                    for (Cycle c = now_; c < b_until; ++c) {
-                        if (mem_.nextTickAt() <= c)
-                            mem_.tick(c);
-                        proc_.addSkippedCycles(b_cls, 1);
-                        checker_->onCycleEnd(c);
-                        if (why_)
-                            why_->onCycleEnd(c);
-                        if (measuring && sampler_)
-                            sampler_->observe(c, static_cast<double>(
-                                proc_.breakdown().get(
-                                    CycleClass::Busy)));
-                        if (progress_ && (c & 0xFFF) == 0)
-                            progress_->poll(c, proc_.retired());
-                    }
-                } else {
-                    // Bulk: one memory drain, one attribution. The
-                    // ledger and sampler fold the whole window in
-                    // (busy cannot grow inside a stall window), so
-                    // neither forces lockstep replay.
-                    if (mem_.nextTickAt() <= b_until - 1)
-                        mem_.tick(b_until - 1);
-                    proc_.addSkippedCycles(b_cls, b_until - now_);
-                    if (why_)
-                        why_->onBulkWindow(0, now_, b_until, b_cls,
-                                           true);
-                    if (measuring && sampler_)
-                        sampler_->observeWindow(
-                            now_, b_until,
-                            static_cast<double>(proc_.breakdown().get(
-                                CycleClass::Busy)));
-                    if (progress_)
-                        progress_->poll(b_until - 1, proc_.retired());
-                }
-                batchedCycles_ += b_until - now_;
-                now_ = b_until;
+        // cycles are bit-identical pure stalls; advance them as one
+        // attributed window instead of re-deriving each one. The
+        // window may not cross the scheduler's next action cycle (its
+        // tick is a provable no-op before then). Gated with
+        // fast-forward so --no-fast-forward still means pure lockstep.
+        Cycle b_until = 0;
+        CycleClass b_cls = CycleClass::Busy;
+        if (ffEnabled_ && proc_.takeStallBatch(now_, &b_until, &b_cls)) {
+            const Processor::FastForwardPlan batch{
+                std::min({b_until, sched_.nextActionCycle(), end}),
+                b_cls};
+            if (batch.until > now_) {
+                obs_.onWindow(mem_, &batch, now_, batch.until);
+                batchedCycles_ += batch.until - now_;
+                now_ = batch.until;
                 // The window usually ends at the stalled op's issue
                 // cycle; a plan attempt there is doomed. Disarm - the
                 // issue tick re-arms via stateChangedLastTick().
@@ -255,59 +170,18 @@ UniSystem::runLoop(Cycle end, bool measuring)
 }
 
 bool
-UniSystem::tryFastForward(Cycle end, bool measuring)
+UniSystem::tryFastForward(Cycle end)
 {
     MTSIM_PROF_SCOPE("fastforward");
     // The scheduler mutates its slice state at nextActionCycle, so
     // no window may cross it (its tick is a no-op before then).
-    Cycle limit = end;
-    if (sched_.nextActionCycle() < limit)
-        limit = sched_.nextActionCycle();
     Processor::FastForwardPlan plan;
-    if (!proc_.planFastForward(now_, limit, plan))
+    const Cycle until = planSkipWindow(
+        obs_.nodes(), now_, std::min(end, sched_.nextActionCycle()),
+        &plan);
+    if (until == 0)
         return false;
-    if (plan.needOwnerCommit)
-        proc_.beginFastForward(now_);
-    const Cycle until = plan.until;
-    if (checker_) {
-        // Checker replay: feed the checker the exact per-cycle
-        // stream lockstep would have produced. Memory events still
-        // run at their own timestamps (they can emit probe events);
-        // the scheduler tick is a provable no-op.
-        for (Cycle c = now_; c < until; ++c) {
-            if (mem_.nextTickAt() <= c)
-                mem_.tick(c);
-            if (plan.attribute)
-                proc_.addSkippedCycles(plan.cls, 1);
-            checker_->onCycleEnd(c);
-            if (why_)
-                why_->onCycleEnd(c);
-            if (measuring && sampler_)
-                sampler_->observe(c, static_cast<double>(
-                    proc_.breakdown().get(CycleClass::Busy)));
-            if (progress_ && (c & 0xFFF) == 0)
-                progress_->poll(c, proc_.retired());
-        }
-    } else {
-        // Bulk: one memory drain (event callbacks receive their
-        // original timestamps, so this is order-identical to the
-        // per-cycle drains) and one aggregate attribution. Ledger
-        // and sampler consume the window whole - no busy slot can
-        // accrue inside it - so they no longer force replay.
-        if (mem_.nextTickAt() <= until - 1)
-            mem_.tick(until - 1);
-        if (plan.attribute)
-            proc_.addSkippedCycles(plan.cls, until - now_);
-        if (why_)
-            why_->onBulkWindow(0, now_, until, plan.cls,
-                               plan.attribute);
-        if (measuring && sampler_)
-            sampler_->observeWindow(now_, until,
-                static_cast<double>(
-                    proc_.breakdown().get(CycleClass::Busy)));
-        if (progress_)
-            progress_->poll(until - 1, proc_.retired());
-    }
+    obs_.onWindow(mem_, &plan, now_, until);
     ffCycles_ += until - now_;
     now_ = until;
     return true;

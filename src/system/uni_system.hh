@@ -24,13 +24,11 @@
 #include "obs/probe.hh"
 #include "os/scheduler.hh"
 #include "prof/progress.hh"
+#include "system/observer_set.hh"
 #include "workload/emitter.hh"
 #include "workload/program.hh"
 
 namespace mtsim {
-
-class FlightRecorder;
-class WhyLedger;
 
 class UniSystem
 {
@@ -106,18 +104,14 @@ class UniSystem
      * through observeWindow, so sampling never disables
      * fast-forward). Pass nullptr to detach.
      */
-    void setSampler(IntervalSampler *sampler) { sampler_ = sampler; }
+    void setSampler(IntervalSampler *sampler) { obs_.setSampler(sampler); }
 
     /**
      * Attach a host-side progress heartbeat, polled every few
      * thousand simulated cycles. Pass nullptr to detach. Passive:
      * simulation results are unaffected.
      */
-    void
-    setProgress(prof::ProgressMeter *progress)
-    {
-        progress_ = progress;
-    }
+    void setProgress(prof::ProgressMeter *p) { obs_.setProgress(p); }
 
     /**
      * Enable or disable event-driven fast-forward (default on).
@@ -152,18 +146,17 @@ class UniSystem
     void enableChecking(const CheckConfig &cc = CheckConfig{});
 
     /** The attached checker, or nullptr when checking is off. */
-    InvariantChecker *checker() { return checker_.get(); }
+    InvariantChecker *checker() { return obs_.checker(); }
 
   private:
-    /** Simulate lockstep cycles until @p end (sampler only observes
-     *  when @p measuring). */
-    void runLoop(Cycle end, bool measuring);
+    /** Simulate lockstep cycles until @p end. */
+    void runLoop(Cycle end);
     /**
      * Attempt one fast-forward jump from now_. Returns true (with
      * now_ advanced) when the processor proved a stall window; the
      * caller then re-enters the loop.
      */
-    bool tryFastForward(Cycle end, bool measuring);
+    bool tryFastForward(Cycle end);
 
     Config cfg_;
     ProbeBus probes_;
@@ -171,10 +164,7 @@ class UniSystem
     Processor proc_;
     Scheduler sched_;
     std::vector<std::unique_ptr<InstrSource>> sources_;
-    std::unique_ptr<InvariantChecker> checker_;
-    WhyLedger *why_ = nullptr;
-    IntervalSampler *sampler_ = nullptr;
-    prof::ProgressMeter *progress_ = nullptr;
+    ObserverSet obs_;
     Cycle now_ = 0;
     Cycle measured_ = 0;
     bool started_ = false;

@@ -270,54 +270,90 @@ TEST(IntervalSamplerWindow, MatchesPerCycleObserve)
     }
 }
 
+/** What one sampled run leaves behind. */
+struct SampledRun
+{
+    std::uint64_t digest = 0;
+    Cycle ffCycles = 0;
+    Cycle batchedCycles = 0;
+    std::vector<IntervalSampler::Sample> samples;
+};
+
+SampledRun
+sampledUni(const Config &cfg, bool ff, bool sample)
+{
+    UniSystem sys(cfg);
+    ProbeDigest digest;
+    sys.probes().addSink(&digest);
+    IntervalSampler sampler(1000);
+    if (sample)
+        sys.setSampler(&sampler);
+    sys.setFastForward(ff);
+    for (const auto &[name, kernel] : mixApps("R0"))
+        sys.addApp(name, kernel);
+    sys.run(kWarm, kMeasure);
+    return {digest.digest(), sys.fastForwardedCycles(),
+            sys.stallBatchedCycles(), sampler.samples()};
+}
+
+SampledRun
+sampledMp(const Config &cfg, bool ff, bool sample)
+{
+    MpSystem sys(cfg);
+    ProbeDigest digest;
+    sys.probes().addSink(&digest);
+    IntervalSampler sampler(1000);
+    if (sample)
+        sys.setSampler(&sampler);
+    sys.setFastForward(ff);
+    sys.setStatsBarrier(kStatsBarrier);
+    sys.loadApp(splashApp("water"));
+    sys.run(kMpCap);
+    EXPECT_TRUE(sys.finished());
+    return {digest.digest(), sys.fastForwardedCycles(), 0,
+            sampler.samples()};
+}
+
+/**
+ * Satellite contract: attaching a sampler does not force lockstep
+ * replay - fast-forward (and, on the workstation, RAW-stall
+ * batching) stays engaged, the digest is pinned to the unsampled
+ * run's, and the sample series equals the pure-lockstep one.
+ */
+void
+expectSamplerKeepsFastForward(const Config &cfg,
+                              SampledRun (*run)(const Config &, bool,
+                                                bool),
+                              bool expect_batched)
+{
+    const SampledRun plain = run(cfg, true, false);
+    const SampledRun sampled = run(cfg, true, true);
+    const SampledRun lockstep = run(cfg, false, true);
+    EXPECT_EQ(sampled.digest, plain.digest);
+    EXPECT_EQ(lockstep.digest, plain.digest);
+    EXPECT_GT(sampled.ffCycles, 0u);
+    EXPECT_EQ(sampled.ffCycles, plain.ffCycles);
+    if (expect_batched) {
+        EXPECT_GT(sampled.batchedCycles, 0u);
+    }
+    ASSERT_FALSE(sampled.samples.empty());
+    ASSERT_EQ(sampled.samples.size(), lockstep.samples.size());
+    for (std::size_t i = 0; i < sampled.samples.size(); ++i) {
+        EXPECT_EQ(sampled.samples[i].start, lockstep.samples[i].start);
+        EXPECT_EQ(sampled.samples[i].delta, lockstep.samples[i].delta);
+    }
+}
+
 TEST(IntervalSamplerWindow, SampledRunKeepsFastForwardEngaged)
 {
-    // Satellite contract: attaching a sampler no longer forces
-    // lockstep replay - fast-forward and RAW-stall batching stay
-    // engaged, the digest is pinned, and the sample series equals
-    // the pure-lockstep one.
-    const Config cfg = Config::make(Scheme::Interleaved, 1);
-    auto run = [&](bool ff, IntervalSampler *sampler,
-                   std::uint64_t *digest_out, Cycle *ff_out,
-                   Cycle *batched_out) {
-        UniSystem sys(cfg);
-        ProbeDigest digest;
-        sys.probes().addSink(&digest);
-        if (sampler)
-            sys.setSampler(sampler);
-        sys.setFastForward(ff);
-        for (const auto &[name, kernel] : mixApps("R0"))
-            sys.addApp(name, kernel);
-        sys.run(kWarm, kMeasure);
-        *digest_out = digest.digest();
-        if (ff_out)
-            *ff_out = sys.fastForwardedCycles();
-        if (batched_out)
-            *batched_out = sys.stallBatchedCycles();
-    };
-
-    std::uint64_t plain_digest = 0;
-    run(true, nullptr, &plain_digest, nullptr, nullptr);
-
-    IntervalSampler sampled(1000);
-    std::uint64_t sampled_digest = 0;
-    Cycle ffc = 0, batched = 0;
-    run(true, &sampled, &sampled_digest, &ffc, &batched);
-    EXPECT_EQ(sampled_digest, plain_digest);
-    EXPECT_GT(ffc, 0u);
-    EXPECT_GT(batched, 0u);
-
-    IntervalSampler lockstep(1000);
-    std::uint64_t lockstep_digest = 0;
-    run(false, &lockstep, &lockstep_digest, nullptr, nullptr);
-    EXPECT_EQ(lockstep_digest, plain_digest);
-
-    ASSERT_EQ(sampled.samples().size(), lockstep.samples().size());
-    for (std::size_t i = 0; i < sampled.samples().size(); ++i) {
-        EXPECT_EQ(sampled.samples()[i].start,
-                  lockstep.samples()[i].start);
-        EXPECT_EQ(sampled.samples()[i].delta,
-                  lockstep.samples()[i].delta);
+    expectSamplerKeepsFastForward(Config::make(Scheme::Interleaved, 1),
+                                  sampledUni, true);
+    for (const std::uint8_t contexts : {1, 4}) {
+        SCOPED_TRACE("mp water/4p contexts " +
+                     std::to_string(contexts));
+        expectSamplerKeepsFastForward(
+            Config::makeMp(Scheme::Interleaved, contexts, 4),
+            sampledMp, false);
     }
 }
 

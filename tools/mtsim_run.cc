@@ -132,19 +132,27 @@ parseU64(const std::string &flag, const std::string &value,
     return v;
 }
 
-/**
- * Bound for --host-threads/--quantum: more than 4x the host's
- * hardware concurrency is always a typo (and a quantum that large
- * adds nothing a smaller one does not), so fail at flag-parse time
- * like the output-path validation does.
- */
+/** Parse a count for @p flag that must be at least 1. */
 std::uint64_t
-parseHostParallel(const std::string &flag, const std::string &value)
+parsePositive(const std::string &flag, const std::string &value,
+              std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
 {
-    const std::uint64_t v = parseU64(flag, value);
+    const std::uint64_t v = parseU64(flag, value, max);
     if (v == 0)
         throw std::invalid_argument(
             flag + ": invalid value 0: must be at least 1");
+    return v;
+}
+
+/**
+ * Bound for --host-threads: more than 4x the host's hardware
+ * concurrency is always a typo, so fail at flag-parse time like the
+ * output-path validation does.
+ */
+std::uint64_t
+parseHostThreads(const std::string &flag, const std::string &value)
+{
+    const std::uint64_t v = parsePositive(flag, value);
     const unsigned hw = std::thread::hardware_concurrency();
     const std::uint64_t max =
         static_cast<std::uint64_t>(hw > 0 ? hw : 1) * 4;
@@ -155,6 +163,10 @@ parseHostParallel(const std::string &flag, const std::string &value)
             "concurrency (max " + std::to_string(max) + ")");
     return v;
 }
+
+/** Bound for --quantum, in simulated cycles: a longer quantum defers
+ *  every cross-node invalidation and wake past most runs' length. */
+constexpr std::uint64_t kMaxQuantum = 1000000;
 
 void
 usage()
@@ -226,14 +238,16 @@ usage()
         "                      replay buffers (bit-identical results;\n"
         "                      lower host memory, slower)\n"
         "  --host-threads N    (--mp only) shard the nodes across N\n"
-        "                      host worker threads\n"
+        "                      host worker threads of the relaxed\n"
+        "                      tier; N > 1 needs --quantum > 1\n"
         "                      (docs/ARCHITECTURE.md section 10)\n"
-        "  --quantum N         (--mp only) lock-step quantum in\n"
-        "                      cycles. 1 (default) is bit-identical\n"
-        "                      to the sequential loop; N > 1 is the\n"
-        "                      relaxed speed tier (approximate,\n"
-        "                      nondeterministic; incompatible with\n"
-        "                      --check/--why/--sample-interval)\n";
+        "  --quantum N         (--mp only) cycles between the relaxed\n"
+        "                      tier's barriers, 1 to 1000000. 1\n"
+        "                      (default) is the cycle-exact\n"
+        "                      sequential loop; N > 1 is the relaxed\n"
+        "                      tier (approximate, nondeterministic;\n"
+        "                      incompatible with --check/--why/\n"
+        "                      --sample-interval)\n";
 }
 
 Options
@@ -325,9 +339,9 @@ parse(int argc, char **argv)
             o.replay = false;
         } else if (a == "--host-threads") {
             o.hostThreads = static_cast<std::uint32_t>(
-                parseHostParallel(a, next()));
+                parseHostThreads(a, next()));
         } else if (a == "--quantum") {
-            o.quantum = parseHostParallel(a, next());
+            o.quantum = parsePositive(a, next(), kMaxQuantum);
         } else if (a == "--help" || a == "-h") {
             o.help = true;
         } else {
@@ -339,11 +353,17 @@ parse(int argc, char **argv)
         throw std::invalid_argument(
             "--host-threads/--quantum: only valid with --mp (the "
             "workstation loop is single-node)");
+    if (o.hostThreads > 1 && o.quantum == 1)
+        throw std::invalid_argument(
+            "--host-threads > 1 needs --quantum > 1: host threads run "
+            "only the relaxed tier, and quantum 1 is the sequential "
+            "loop");
     if (o.quantum > 1 && (o.check || o.why || o.sampleInterval > 0))
         throw std::invalid_argument(
             "--quantum > 1 (relaxed mode) cannot preserve "
             "cycle-exact observation; drop --check/--why/"
-            "--sample-interval or use --quantum 1");
+            "--sample-interval, or drop --host-threads/--quantum "
+            "for the sequential loop");
     return o;
 }
 
