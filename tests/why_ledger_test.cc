@@ -315,7 +315,7 @@ sampledMp(const Config &cfg, bool ff, bool sample)
 }
 
 /**
- * Satellite contract: attaching a sampler does not force lockstep
+ * Sampler contract: attaching a sampler does not force lockstep
  * replay - fast-forward (and, on the workstation, RAW-stall
  * batching) stays engaged, the digest is pinned to the unsampled
  * run's, and the sample series equals the pure-lockstep one.
