@@ -288,6 +288,14 @@ struct BadConfigCase
     std::function<void(Config &)> breakIt;
 };
 
+/** Without a printer gtest dumps the case's bytes - pointers that
+ *  move from build to build - into the name ctest lists. */
+void
+PrintTo(const BadConfigCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
 class ConfigValidation
     : public ::testing::TestWithParam<BadConfigCase>
 {};

@@ -33,6 +33,14 @@ struct MixCase
     double min_interleaved_gain;   // at 4 contexts
 };
 
+/** Without a printer gtest dumps the case's bytes - a pointer that
+ *  moves from build to build - into the name ctest lists. */
+void
+PrintTo(const MixCase &c, std::ostream *os)
+{
+    *os << c.mix << ", gain > " << c.min_interleaved_gain;
+}
+
 class Table7Shape : public ::testing::TestWithParam<MixCase>
 {};
 
