@@ -3,7 +3,7 @@
  * Crash-safe file output: write to `path.tmp`, fsync, then rename
  * over the final path, so a consumer never sees a partially written
  * file. Every machine-readable artifact the tools produce
- * (--stats-json, --trace-out, --prof-json, BENCH_speed.json, the
+ * (--stats-json, --trace-out, --prof-json, --why-json, the
  * MTSIM_BENCH_JSON row dump) goes through this - a crash, ^C or a
  * checker exit-3 mid-write leaves at worst a stale `.tmp`, never a
  * truncated JSON that downstream tooling would parse as valid.

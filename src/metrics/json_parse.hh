@@ -1,11 +1,12 @@
 /**
  * @file
  * Minimal JSON reader, the counterpart of JsonWriter: parses the
- * documents the simulator itself emits (stats JSON, BENCH_speed
- * rows) back into a DOM so tools like bench_compare and the tests
- * can consume them without an external dependency. Full JSON per RFC
- * 8259 minus surrogate-pair escapes (\uXXXX maps each code unit to
- * UTF-8 independently), which the simulator never emits.
+ * documents the simulator itself emits (stats JSON, prof JSON, why
+ * ledgers, flight-recorder dumps) back into a DOM so tools like
+ * mtsim_diff and the tests can consume them without an external
+ * dependency. Full JSON per RFC 8259 minus surrogate-pair escapes
+ * (\uXXXX maps each code unit to UTF-8 independently), which the
+ * simulator never emits.
  */
 
 #ifndef MTSIM_METRICS_JSON_PARSE_HH

@@ -8,7 +8,6 @@
 #include <tuple>
 
 #include "metrics/json_parse.hh"
-#include "prof/speed.hh"
 
 namespace mtsim::diff {
 
@@ -169,7 +168,6 @@ flattenProfTree(const JsonValue &nodes, const std::string &prefix,
 
 DiffReport diffStats(const JsonValue &a, const JsonValue &b);
 DiffReport diffProf(const JsonValue &a, const JsonValue &b);
-DiffReport diffBench(const JsonValue &a, const JsonValue &b);
 DiffReport diffFlightRecorder(const JsonValue &a, const JsonValue &b);
 DiffReport diffWhy(const JsonValue &a, const JsonValue &b);
 
@@ -284,63 +282,6 @@ diffProf(const JsonValue &a, const JsonValue &b)
         rep.lines.push_back(
             "(" + std::to_string(leaves.size() - kMaxLeaves) +
             " smaller self-time changes not shown)");
-    return rep;
-}
-
-DiffReport
-diffBench(const JsonValue &a, const JsonValue &b)
-{
-    DiffReport rep;
-    rep.kind = DocKind::Bench;
-    const std::vector<prof::SpeedRow> rows_a =
-        prof::speedRowsFromJson(a);
-    const std::vector<prof::SpeedRow> rows_b =
-        prof::speedRowsFromJson(b);
-    auto findRow =
-        [&](const std::string &cfg) -> const prof::SpeedRow * {
-        for (const prof::SpeedRow &r : rows_b) {
-            if (r.config == cfg)
-                return &r;
-        }
-        return nullptr;
-    };
-    for (const prof::SpeedRow &ra : rows_a) {
-        const prof::SpeedRow *rb = findRow(ra.config);
-        if (rb == nullptr) {
-            rep.lines.push_back(ra.config + ": missing from B");
-            continue;
-        }
-        const double pct = ra.kips > 0.0
-                               ? (rb->kips - ra.kips) / ra.kips * 100.0
-                               : 0.0;
-        rep.lines.push_back(ra.config + ": " + fmtNum(ra.kips) +
-                            " -> " + fmtNum(rb->kips) + " KIPS (" +
-                            fmtPct(pct) + ")");
-        if (ra.digest == rb->digest)
-            continue;
-        rep.divergence = true;
-        rep.lines.push_back(ra.config + ": digest differs (" +
-                            ra.digest + " -> " + rb->digest + ")");
-        const WindowDivergence w = firstDivergentWindow(
-            ra.digestWindows, ra.digestWindowCycles, rb->digestWindows,
-            rb->digestWindowCycles);
-        if (w.found)
-            rep.lines.push_back(
-                ra.config + ": first divergent digest window #" +
-                std::to_string(w.index) + " (cycles [" +
-                fmtCycle(w.start) + ", " + fmtCycle(w.end) + "))");
-    }
-    for (const prof::SpeedRow &rb : rows_b) {
-        bool known = false;
-        for (const prof::SpeedRow &ra : rows_a)
-            known = known || ra.config == rb.config;
-        if (!known)
-            rep.lines.push_back(rb.config + ": only in B");
-    }
-    if (!rep.divergence)
-        rep.lines.push_back(
-            "all row digests identical: the two benchmarks simulated "
-            "the same work");
     return rep;
 }
 
@@ -511,8 +452,6 @@ docKindName(DocKind k)
         return "stats";
       case DocKind::Prof:
         return "prof";
-      case DocKind::Bench:
-        return "bench";
       case DocKind::FlightRecorder:
         return "flight-recorder";
       case DocKind::Why:
@@ -530,8 +469,6 @@ detectKind(const JsonValue &doc)
         return DocKind::Unknown;
     if (const JsonValue *schema = doc.find("schema")) {
         if (schema->isString()) {
-            if (schema->str == "mtsim_bench_speed/v1")
-                return DocKind::Bench;
             if (schema->str == "mtsim_flight_recorder/v1")
                 return DocKind::FlightRecorder;
             if (schema->str == "mtsim_why/v1")
@@ -669,7 +606,7 @@ diffDocs(const JsonValue &a, const JsonValue &b)
     if (ka == DocKind::Unknown || kb == DocKind::Unknown)
         throw std::runtime_error(
             "unrecognized document (expected mtsim stats, prof, "
-            "bench, flight-recorder or why JSON)");
+            "flight-recorder or why JSON)");
     if (ka != kb)
         throw std::runtime_error(
             std::string("document kinds differ: ") + docKindName(ka) +
@@ -679,8 +616,6 @@ diffDocs(const JsonValue &a, const JsonValue &b)
         return diffStats(a, b);
       case DocKind::Prof:
         return diffProf(a, b);
-      case DocKind::Bench:
-        return diffBench(a, b);
       case DocKind::FlightRecorder:
         return diffFlightRecorder(a, b);
       case DocKind::Why:

@@ -2,8 +2,8 @@
  * @file
  * Cross-run diffing: the library behind tools/mtsim_diff. Takes two
  * documents the simulator emitted - stats JSON (--stats-json), prof
- * JSON (--prof-json), BENCH_speed.json, a flight-recorder dump or a
- * --why-json ledger - and answers the questions a digest mismatch or
+ * JSON (--prof-json), a flight-recorder dump or a --why-json ledger -
+ * and answers the questions a digest mismatch or
  * KIPS regression raises:
  *
  *  - *where* did two runs first diverge? The windowed digest stream
@@ -36,7 +36,6 @@ enum class DocKind
 {
     Stats,          ///< mtsim_run --stats-json
     Prof,           ///< mtsim_run --prof-json
-    Bench,          ///< mtsim_bench BENCH_speed.json
     FlightRecorder, ///< flight-recorder dump
     Why,            ///< mtsim_run --why-json ledger document
     Unknown

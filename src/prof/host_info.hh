@@ -4,9 +4,9 @@
  * a result (git sha, build type, compiler, sanitizers) and how fast
  * the simulator itself ran (KIPS - thousands of simulated
  * instructions retired per wall second - cycles per second, peak
- * RSS, heap allocations). This is the `host` block of the stats JSON
- * and of every BENCH_speed.json row; the perf-regression harness
- * (tools/mtsim_bench, tools/bench_compare) is built on it.
+ * RSS, heap allocations). This is the `host` block of the stats JSON;
+ * the repository benchmark (perfbench/) reports through the same
+ * definitions.
  */
 
 #ifndef MTSIM_PROF_HOST_INFO_HH
@@ -39,7 +39,7 @@ std::uint64_t peakRssKb();
 /**
  * One throughput measurement: simulated work over host wall time.
  * The single KIPS definition every reporter (mtsim_run's host block,
- * sim_speed, mtsim_bench) shares.
+ * the --progress heartbeat, perfbench's sim_kips) shares.
  */
 struct Throughput
 {

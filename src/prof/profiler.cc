@@ -42,8 +42,7 @@ namespace {
 inline void
 countAlloc()
 {
-    if (mtsim::prof::Profiler::enabled() ||
-        mtsim::prof::Profiler::allocCountingEnabled())
+    if (mtsim::prof::Profiler::enabled())
         gAllocs.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -223,12 +222,6 @@ std::uint64_t
 Profiler::allocCount()
 {
     return gAllocs.load(std::memory_order_relaxed);
-}
-
-void
-Profiler::enableAllocCounting(bool on)
-{
-    countAllocs_ = on;
 }
 
 namespace {

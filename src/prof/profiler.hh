@@ -121,20 +121,8 @@ class Profiler
     /** Close @p node, crediting @p ns of inclusive time to it. */
     void pop(ProfNode *node, std::uint64_t ns);
 
-    /** Heap allocations observed while profiling or standalone
-     *  allocation counting was enabled. */
+    /** Heap allocations observed while profiling was enabled. */
     static std::uint64_t allocCount();
-
-    /**
-     * Count allocations without enabling scope timing: one relaxed
-     * counter increment per allocation, no clock reads on the hot
-     * path. The bench harness uses this so BENCH_speed.json rows
-     * carry allocation counts while KIPS stays unskewed by timer
-     * overhead. Counting happens while either this or enable(true)
-     * is on.
-     */
-    static void enableAllocCounting(bool on);
-    static bool allocCountingEnabled() { return countAllocs_; }
 
     /**
      * Print the cost tree: one row per scope with inclusive time,
@@ -155,7 +143,6 @@ class Profiler
     ProfNode mergedTree() const;
 
     static inline bool enabled_ = false;
-    static inline bool countAllocs_ = false;
     /** Per-thread scope cursor; nullptr = not yet bound (the main
      *  thread binds to root_ on first use). */
     static thread_local ProfNode *tlsCurrent_;

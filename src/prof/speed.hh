@@ -1,137 +1,22 @@
 /**
  * @file
- * The perf-regression harness: one canonical simulator-speed
- * workload matrix (the historical bench/sim_speed configurations
- * plus the 8-processor multiprocessor runs), one KIPS definition
- * (prof::Throughput), and one machine-readable result format -
- * BENCH_speed.json - that `tools/mtsim_bench` produces and
- * `tools/bench_compare` diffs against a committed baseline
- * (bench/baseline/BENCH_speed.json). Rows carry the probe digest of
- * the run, so a comparison can tell "the simulator got slower" apart
- * from "the simulated work changed".
+ * The one default size of the windowed sub-digest stream
+ * (docs/OBSERVABILITY.md section 8). `mtsim_run --digest-window`
+ * defaults to it, and perfbench's observed runs close their windows
+ * at it, so a digest mismatch between any two documents localizes to
+ * the same cycle ranges.
  */
 
 #ifndef MTSIM_PROF_SPEED_HH
 #define MTSIM_PROF_SPEED_HH
 
-#include <cstdint>
-#include <ostream>
-#include <string>
-#include <vector>
-
-#include "common/config.hh"
 #include "common/types.hh"
 
-namespace mtsim {
+namespace mtsim::prof {
 
-struct JsonValue;
-
-namespace prof {
-
-/** One entry of the speed matrix. */
-struct SpeedConfig
-{
-    enum class Kind { Uni, Mp, Emitter };
-
-    std::string name;      ///< stable row key, e.g. "uni/interleaved/4ctx/R0"
-    Kind kind = Kind::Uni;
-    Scheme scheme = Scheme::Interleaved;
-    std::uint8_t contexts = 1;
-    std::string workload;  ///< uni mix / splash app / spec kernel
-    std::uint16_t procs = 1;
-    Cycle warmup = 0;      ///< uni only: untimed cache-warming cycles
-    Cycle cycles = 0;      ///< timed cycles (emitter: micro-ops)
-    /** Host-parallel run loop selection (MP only; see
-     *  MpSystem::setHostParallel). (1, 1) = sequential loop. */
-    std::uint32_t hostThreads = 1;
-    Cycle quantum = 1;
-};
-
-/**
- * Sub-digest window size used by the speed harness's simulator rows
- * (mirrors mtsim_run's --digest-window default): every 10k simulated
- * cycles one windowed sub-digest, so a digest mismatch between two
- * BENCH_speed.json files localizes to a cycle range.
- */
+/** One sub-digest window every 10k simulated cycles. */
 inline constexpr Cycle kSpeedDigestWindowCycles = 10000;
 
-/** One measured row of BENCH_speed.json. */
-struct SpeedRow
-{
-    std::string config;
-    std::uint64_t cycles = 0;   ///< simulated cycles (emitter: 0)
-    std::uint64_t retired = 0;  ///< instructions (emitter: micro-ops)
-    double wallMs = 0.0;
-    double kips = 0.0;          ///< the prof::Throughput definition
-    double mcps = 0.0;          ///< million simulated cycles / second
-    std::uint64_t peakRssKb = 0;
-    std::uint64_t allocs = 0;   ///< heap allocations during the run
-    std::string digest;         ///< probe digest as "0x…" ("0x0" none)
-    Cycle digestWindowCycles = 0;          ///< 0 = no window stream
-    std::vector<std::string> digestWindows; ///< per-window hashes "0x…"
-    /** Host-parallel configuration of the row (additive fields in
-     *  the v1 schema, serialized only when not (1, 1)). Part of the
-     *  row key: bench_compare never matches a parallel row against a
-     *  sequential baseline row or vice versa. */
-    std::uint32_t hostThreads = 1;
-    std::uint64_t quantum = 1;
-};
-
-/**
- * The canonical matrix: interleaved uniprocessor R0 at 1 and 4
- * contexts, interleaved water/8p at 1 and 4 contexts, and the raw
- * workload-emitter stream. @p scale shrinks the cycle counts for
- * smoke runs (tools/mtsim_bench --quick).
- */
-std::vector<SpeedConfig> canonicalSpeedMatrix(double scale = 1.0);
-
-/** Run one configuration and measure it. Deterministic digest. */
-SpeedRow runSpeedConfig(const SpeedConfig &c);
-
-/**
- * Serialize {schema, host, rows} - the BENCH_speed.json document.
- * The host block carries the aggregate throughput across all rows
- * (summed instructions, cycles, and wall time), so the document
- * leads with one whole-matrix KIPS figure next to the build
- * identity. @p best_of records how many repetitions each row is the
- * best of.
- */
-void writeBenchSpeedJson(std::ostream &os,
-                         const std::vector<SpeedRow> &rows,
-                         unsigned best_of = 1);
-
-/** Parse the rows back out of a BENCH_speed.json document. */
-std::vector<SpeedRow> speedRowsFromJson(const JsonValue &doc);
-
-/** parseJsonFile + speedRowsFromJson. Throws on I/O or schema. */
-std::vector<SpeedRow> readBenchSpeedFile(const std::string &path);
-
-/** Outcome of one baseline/current comparison. */
-struct CompareOutcome
-{
-    bool ok = true;                   ///< no regression, no missing row
-    std::vector<std::string> lines;   ///< human-readable per-row verdicts
-};
-
-/**
- * Compare @p current against @p baseline: a row regresses when its
- * KIPS falls below baseline * (1 - threshold); a baseline row missing
- * from current also fails. Differing digests add a warning (the
- * simulated work changed, so the speed delta may be expected). After
- * the per-row verdicts an aggregate line reports the whole-matrix
- * KIPS delta over the rows present in both files.
- *
- * @p alloc_threshold promotes the per-row heap-allocation delta from
- * informational to gating: a row whose allocation count grows by more
- * than that fraction fails the comparison. Negative (the default)
- * keeps allocation deltas warn-only.
- */
-CompareOutcome compareSpeed(const std::vector<SpeedRow> &baseline,
-                            const std::vector<SpeedRow> &current,
-                            double threshold,
-                            double alloc_threshold = -1.0);
-
-} // namespace prof
-} // namespace mtsim
+} // namespace mtsim::prof
 
 #endif // MTSIM_PROF_SPEED_HH

@@ -54,7 +54,7 @@ class MpSystem
      * context. Thread t runs on processor t % P, context t / P, so
      * data distribution is stable as the context count varies. A
      * non-empty @p cache_key reuses the process-wide decoded-program
-     * cache across bench reps (workload/replay.hh).
+     * cache (workload/replay.hh) across systems built with that key.
      */
     void loadApp(const ParallelAppFn &app,
                  const std::string &cache_key = {});

@@ -39,8 +39,8 @@ class UniSystem
      * Add an application to the multiprogramming workload. Each app
      * receives a disjoint text and data segment. A non-empty
      * @p cache_key reuses the process-wide decoded-program cache
-     * (workload/replay.hh): the bench harness passes its config name
-     * so repeated reps skip re-decoding identical kernels.
+     * (workload/replay.hh), so later systems built with the same key
+     * skip re-decoding identical kernels.
      */
     std::uint32_t addApp(const std::string &name,
                          const KernelFn &kernel,

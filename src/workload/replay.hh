@@ -78,17 +78,16 @@ class ReplayProgram
 };
 
 /**
- * Process-wide decoded-program cache (bench harness): successive
- * reps of one config re-decode identical kernels, and PR 6's cost
- * trees measured that re-decode at ~40% of wall time on the uni R0
- * ×1ctx row. The first rep decodes (lazily, as ever); later reps get
- * the same ReplayProgram back and extend its decoded prefix at most
- * once. Callers must guarantee one key names one (code, data, seed,
- * kernel-stream) combination - the bench keys on config name plus
- * app/thread index, which pins all four. Digest-pinned by
- * construction: a cached program *is* the recorded stream, so reps
- * replay byte-identical ops. Not for concurrent use of one program
- * by two host threads.
+ * Process-wide decoded-program cache, filled through a non-empty
+ * cache key of UniSystem::addApp / MpSystem::loadApp: repeated runs
+ * of one config would otherwise re-decode identical kernels. The
+ * first run decodes (lazily, as ever); later runs get the same
+ * ReplayProgram back and extend its decoded prefix at most once.
+ * Callers must guarantee one key names one (code, data, seed,
+ * kernel-stream) combination - a config name plus app/thread index
+ * pins all four. Digest-pinned by construction: a cached program
+ * *is* the recorded stream, so later runs replay byte-identical ops.
+ * Not for concurrent use of one program by two host threads.
  */
 std::shared_ptr<ReplayProgram>
 cachedReplayProgram(const std::string &key, Addr code_base,

@@ -1,11 +1,10 @@
 /**
  * @file
- * Tests of the cross-run diff library (metrics/run_diff.hh) and the
- * bench-comparison additions it builds on: document-kind detection,
- * first-divergent-window search, metric deltas (host numbers
- * excluded), prof-tree leaf attribution with KIPS explanation, the
- * rendered stats diff (re-run hint), warn-only memory lines in
- * compareSpeed, and the SpeedRow JSON roundtrip of the new fields.
+ * Tests of the cross-run diff library (metrics/run_diff.hh):
+ * document-kind detection, first-divergent-window search, metric
+ * deltas (host numbers excluded), prof-tree leaf attribution with
+ * KIPS explanation, the rendered stats diff (re-run hint) and the
+ * why-ledger diff.
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +15,6 @@
 
 #include "metrics/json_parse.hh"
 #include "metrics/run_diff.hh"
-#include "prof/speed.hh"
 
 namespace mtsim {
 namespace {
@@ -63,9 +61,6 @@ statsDoc(const std::string &digest_hash, const std::string &w2,
 TEST(RunDiff, DetectKindClassifiesEveryDocument)
 {
     EXPECT_EQ(diff::detectKind(parseJson(
-                  R"({"schema": "mtsim_bench_speed/v1", "rows": []})")),
-              DocKind::Bench);
-    EXPECT_EQ(diff::detectKind(parseJson(
                   R"({"schema": "mtsim_flight_recorder/v1"})")),
               DocKind::FlightRecorder);
     EXPECT_EQ(diff::detectKind(
@@ -85,10 +80,9 @@ TEST(RunDiff, DetectKindClassifiesEveryDocument)
 TEST(RunDiff, DiffDocsRejectsMismatchedOrUnknownKinds)
 {
     const JsonValue stats = parseJson(statsDoc("0xa", "0x3", 42, 1.0));
-    const JsonValue bench = parseJson(
-        R"({"schema": "mtsim_bench_speed/v1", "rows": []})");
+    const JsonValue why = parseJson(R"({"schema": "mtsim_why/v1"})");
     const JsonValue junk = parseJson(R"({"foo": 1})");
-    EXPECT_THROW(diff::diffDocs(stats, bench), std::runtime_error);
+    EXPECT_THROW(diff::diffDocs(stats, why), std::runtime_error);
     EXPECT_THROW(diff::diffDocs(junk, junk), std::runtime_error);
 }
 
@@ -324,77 +318,6 @@ TEST(RunDiff, WhyDiffReportsAPcOnlyOnOneSide)
     EXPECT_TRUE(rep.divergence);
     EXPECT_TRUE(hasLine(rep.lines, "pc tables differ in length"));
     EXPECT_TRUE(hasLine(rep.lines, "first B-only pc 0x3000"));
-}
-
-// ---- compareSpeed: warn-only window + memory lines ----------------
-
-prof::SpeedRow
-speedRow()
-{
-    prof::SpeedRow r;
-    r.config = "uni/interleaved/4ctx/R0";
-    r.cycles = 100000;
-    r.retired = 50000;
-    r.wallMs = 10.0;
-    r.kips = 5000.0;
-    r.mcps = 10.0;
-    r.peakRssKb = 1000;
-    r.allocs = 1000;
-    r.digest = "0xa";
-    r.digestWindowCycles = 10000;
-    r.digestWindows = {"0x1", "0x2"};
-    return r;
-}
-
-TEST(RunDiff, CompareSpeedWarnsWithoutFailingOnDigestAndMemory)
-{
-    const prof::SpeedRow base = speedRow();
-    prof::SpeedRow cur = speedRow();
-    cur.digest = "0xb";
-    cur.digestWindows = {"0x1", "0x9"};
-    cur.peakRssKb = 1100; // +10% > 5% threshold -> warn
-    cur.allocs = 1020;    // +2% within threshold -> mem
-    const prof::CompareOutcome out =
-        prof::compareSpeed({base}, {cur}, 0.05);
-    EXPECT_TRUE(out.ok) << "digest/memory deltas must not fail";
-    EXPECT_TRUE(hasLine(out.lines, "digest changed (0xa -> 0xb)"));
-    EXPECT_TRUE(hasLine(
-        out.lines,
-        "first divergent digest window #1 (cycles [10000, 20000))"));
-    EXPECT_TRUE(hasLine(out.lines,
-                        "warn uni/interleaved/4ctx/R0: peak RSS "
-                        "1000 -> 1100 KB (+10.0%)"));
-    EXPECT_TRUE(hasLine(out.lines,
-                        "mem  uni/interleaved/4ctx/R0: 1000 -> 1020 "
-                        "heap allocations (+2.0%)"));
-}
-
-TEST(RunDiff, CompareSpeedStillFailsOnKipsRegression)
-{
-    const prof::SpeedRow base = speedRow();
-    prof::SpeedRow cur = speedRow();
-    cur.kips = 4000.0; // -20% < -5% threshold
-    const prof::CompareOutcome out =
-        prof::compareSpeed({base}, {cur}, 0.05);
-    EXPECT_FALSE(out.ok);
-    EXPECT_TRUE(hasLine(out.lines, "FAIL"));
-}
-
-// ---- SpeedRow JSON roundtrip of the new fields --------------------
-
-TEST(RunDiff, SpeedRowWindowFieldsSurviveTheJsonRoundtrip)
-{
-    const prof::SpeedRow row = speedRow();
-    std::ostringstream os;
-    prof::writeBenchSpeedJson(os, {row}, 3);
-    const std::vector<prof::SpeedRow> back =
-        prof::speedRowsFromJson(parseJson(os.str()));
-    ASSERT_EQ(back.size(), 1u);
-    EXPECT_EQ(back[0].config, row.config);
-    EXPECT_EQ(back[0].allocs, row.allocs);
-    EXPECT_EQ(back[0].digest, row.digest);
-    EXPECT_EQ(back[0].digestWindowCycles, row.digestWindowCycles);
-    EXPECT_EQ(back[0].digestWindows, row.digestWindows);
 }
 
 } // namespace

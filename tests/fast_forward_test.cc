@@ -5,18 +5,21 @@
  * configuration's RunSignature - probe digest, event count, cycles,
  * retired instructions, full cycle breakdown - is bit-identical with
  * fast-forward on and off, including with the invariant checker
- * observing every skipped cycle. A separate test pins that windows
- * actually fire, so the equivalence is not vacuous.
+ * observing every skipped cycle. Two more tests pin the exact number
+ * of cycles each system skips, so the equivalence is not vacuous and
+ * a skip-path regression fails without any timing involved.
  */
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "check/differential.hh"
 #include "common/config.hh"
 #include "splash/splash_suite.hh"
+#include "system/mp_system.hh"
 #include "system/uni_system.hh"
 #include "workload/program.hh"
 
@@ -66,17 +69,53 @@ TEST(FastForward, UniCheckerObservesSkippedCyclesIdentically)
     expectUniEquivalent(Scheme::Blocked, 4, "R0", true);
 }
 
+// Exact skip counts. A node ticks on every simulated cycle that is
+// neither fast-forwarded nor stall-batched, so these pins also fix
+// the tick count of each run. A planner that declines a window it
+// used to take moves them on any host. Regenerate only when a change
+// means to move skip decisions, and say why.
+
 TEST(FastForward, UniWindowsActuallyFire)
 {
-    // A single-context memory-heavy workload stalls on the
-    // scoreboard for tens of cycles at a time: if no window ever
-    // fires, the equivalence tests above are vacuously true.
-    const Config cfg = Config::make(Scheme::Interleaved, 1);
-    UniSystem sys(cfg);
-    for (const auto &[name, kernel] : mixApps("R0"))
-        sys.addApp(name, kernel);
-    sys.run(kWarm, kMeasure);
-    EXPECT_GT(sys.fastForwardedCycles(), 0u);
+    struct Pin
+    {
+        Scheme scheme;
+        std::uint8_t contexts;
+        Cycle fastForwarded;
+        Cycle stallBatched;
+    };
+    const Pin pins[] = {
+        {Scheme::Single, 1, 4893, 175793},
+        {Scheme::Blocked, 4, 13272, 1},
+        {Scheme::Interleaved, 1, 3380, 175369},
+        {Scheme::Interleaved, 4, 60236, 1000},
+    };
+    for (const Pin &pin : pins) {
+        UniSystem sys(Config::make(pin.scheme, pin.contexts));
+        for (const auto &[name, kernel] : mixApps("R0"))
+            sys.addApp(name, kernel);
+        sys.run(100000, 300000);
+        EXPECT_EQ(sys.fastForwardedCycles(), pin.fastForwarded)
+            << "R0 scheme " << static_cast<int>(pin.scheme)
+            << " contexts " << static_cast<int>(pin.contexts);
+        EXPECT_EQ(sys.stallBatchedCycles(), pin.stallBatched)
+            << "R0 scheme " << static_cast<int>(pin.scheme)
+            << " contexts " << static_cast<int>(pin.contexts);
+    }
+}
+
+TEST(FastForward, MpWindowsActuallyFire)
+{
+    // water on 8 nodes, interleaved, run to completion.
+    const std::pair<std::uint8_t, Cycle> pins[] = {{1, 42121},
+                                                   {4, 2161}};
+    for (const auto &[contexts, fastForwarded] : pins) {
+        MpSystem sys(Config::makeMp(Scheme::Interleaved, contexts, 8));
+        sys.loadApp(splashApp("water"));
+        sys.run();
+        EXPECT_EQ(sys.fastForwardedCycles(), fastForwarded)
+            << "water/8p contexts " << static_cast<int>(contexts);
+    }
 }
 
 TEST(FastForward, UniDisabledSkipsNothing)

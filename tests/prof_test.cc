@@ -1,9 +1,9 @@
 /**
  * @file
- * Tests for the host-side self-profiling layer (src/prof) and the
- * perf-regression harness: cost-tree aggregation, prof-off
- * zero-overhead, bit-identical profiled runs, the JSON reader,
- * atomic file output, and the bench_compare pass/fail logic.
+ * Tests for the host-side self-profiling layer (src/prof): cost-tree
+ * aggregation, prof-off zero-overhead, bit-identical profiled runs,
+ * the heap-allocation budget of the canonical runs, the JSON reader
+ * and atomic file output.
  */
 
 #include <cmath>
@@ -21,8 +21,9 @@
 #include "prof/host_info.hh"
 #include "prof/profiler.hh"
 #include "prof/progress.hh"
-#include "prof/speed.hh"
 #include "spec/spec_suite.hh"
+#include "splash/splash_suite.hh"
+#include "system/mp_system.hh"
 #include "system/uni_system.hh"
 
 namespace mtsim {
@@ -207,6 +208,62 @@ TEST_F(ProfilerTest, ProfiledRunIsBitIdentical)
     EXPECT_FALSE(prof::Profiler::instance().root().children.empty());
 }
 
+/**
+ * Heap allocations made while constructing and running one canonical
+ * configuration with the profiler on: interleaved R0 on the
+ * workstation for 100k warm-up + 300k measured cycles, or interleaved
+ * water on 8 nodes to completion. Zero where counting is compiled out
+ * (sanitizer builds).
+ */
+std::uint64_t
+allocsOfCanonicalRun(bool mp, std::uint8_t contexts)
+{
+    prof::Profiler &p = prof::Profiler::instance();
+    p.reset();
+    p.enable(true);
+    if (mp) {
+        MpSystem sys(Config::makeMp(Scheme::Interleaved, contexts, 8));
+        sys.loadApp(splashApp("water"));
+        sys.run();
+    } else {
+        UniSystem sys(Config::make(Scheme::Interleaved, contexts));
+        for (const auto &app : uniWorkload("R0"))
+            sys.addApp(app, specKernel(app));
+        sys.run(100000, 300000);
+    }
+    p.enable(false);
+    return prof::Profiler::allocCount();
+}
+
+TEST_F(ProfilerTest, CanonicalRunsStayWithinTheirAllocationBudget)
+{
+    // A build makes the same allocations on every host, so growth
+    // past 1.5x the recorded count is a hot-path allocation
+    // regression, not noise. Lower the counts when a change removes
+    // allocations; raise them only with the reason.
+    struct Budget
+    {
+        const char *name;
+        bool mp;
+        std::uint8_t contexts;
+        std::uint64_t recorded;
+    };
+    const Budget budgets[] = {
+        {"uni/interleaved/1ctx/R0", false, 1, 12550},
+        {"uni/interleaved/4ctx/R0", false, 4, 25049},
+        {"mp/interleaved/1ctx/water/8p", true, 1, 48961},
+        {"mp/interleaved/4ctx/water/8p", true, 4, 54973},
+    };
+    for (const Budget &b : budgets) {
+        const std::uint64_t allocs = allocsOfCanonicalRun(b.mp, b.contexts);
+        if (allocs == 0)
+            GTEST_SKIP() << "allocation counting is compiled out";
+        EXPECT_LE(allocs, b.recorded * 3 / 2)
+            << b.name << ": " << allocs << " heap allocations, "
+            << b.recorded << " recorded";
+    }
+}
+
 TEST(HostInfoTest, ThroughputDefinitions)
 {
     const prof::Throughput t{2.0, 4000000, 1000000};
@@ -349,325 +406,6 @@ TEST(JsonParseTest, RejectsMalformedInput)
     EXPECT_THROW(parseJson("1 2"), JsonParseError);
     EXPECT_THROW(parseJson("\"\\q\""), JsonParseError);
     EXPECT_THROW(parseJson(""), JsonParseError);
-}
-
-prof::SpeedRow
-makeRow(const std::string &config, double kips,
-        const std::string &digest = "0xabc")
-{
-    prof::SpeedRow r;
-    r.config = config;
-    r.cycles = 1000;
-    r.retired = 2000;
-    r.wallMs = 3.5;
-    r.kips = kips;
-    r.mcps = kips / 2.0;
-    r.peakRssKb = 4096;
-    r.digest = digest;
-    return r;
-}
-
-TEST(SpeedJsonTest, WriteReadRoundTrip)
-{
-    const std::vector<prof::SpeedRow> rows = {
-        makeRow("uni/interleaved/4ctx/R0", 1234.5),
-        makeRow("emitter/mxm", 9.25, "0xdeadbeef"),
-    };
-    std::ostringstream os;
-    prof::writeBenchSpeedJson(os, rows, 3);
-
-    const JsonValue doc = parseJson(os.str());
-    EXPECT_EQ(doc.at("schema").asString(), "mtsim_bench_speed/v1");
-    EXPECT_EQ(doc.at("best_of").asU64(), 3u);
-    EXPECT_TRUE(doc.find("host") != nullptr);
-
-    const auto parsed = prof::speedRowsFromJson(doc);
-    ASSERT_EQ(parsed.size(), 2u);
-    EXPECT_EQ(parsed[0].config, rows[0].config);
-    EXPECT_EQ(parsed[0].cycles, rows[0].cycles);
-    EXPECT_EQ(parsed[0].retired, rows[0].retired);
-    EXPECT_DOUBLE_EQ(parsed[0].kips, rows[0].kips);
-    EXPECT_EQ(parsed[1].digest, "0xdeadbeef");
-    // Sequential rows omit the host-parallel fields and read back
-    // as the (1, 1) default.
-    EXPECT_EQ(parsed[0].hostThreads, 1u);
-    EXPECT_EQ(parsed[0].quantum, 1u);
-}
-
-TEST(SpeedJsonTest, HostParallelFieldsRoundTrip)
-{
-    prof::SpeedRow par = makeRow("mp/x/ht8/q1000", 500.0, "0x0");
-    par.hostThreads = 8;
-    par.quantum = 1000;
-    std::ostringstream os;
-    prof::writeBenchSpeedJson(os, {par}, 1);
-    const auto parsed = prof::speedRowsFromJson(parseJson(os.str()));
-    ASSERT_EQ(parsed.size(), 1u);
-    EXPECT_EQ(parsed[0].hostThreads, 8u);
-    EXPECT_EQ(parsed[0].quantum, 1000u);
-}
-
-TEST(SpeedJsonTest, RejectsWrongSchema)
-{
-    EXPECT_THROW(
-        prof::speedRowsFromJson(parseJson("{\"schema\": \"other\"}")),
-        std::runtime_error);
-    EXPECT_THROW(prof::speedRowsFromJson(parseJson("{}")),
-                 std::runtime_error);
-}
-
-TEST(BenchCompareTest, IdenticalInputsPass)
-{
-    const auto rows = {makeRow("a", 100.0), makeRow("b", 50.0)};
-    const auto out = prof::compareSpeed(rows, rows, 0.10);
-    EXPECT_TRUE(out.ok);
-    // One KIPS verdict plus one informational peak-RSS line per row,
-    // then the whole-matrix aggregate.
-    ASSERT_EQ(out.lines.size(), 5u);
-    EXPECT_EQ(out.lines[0].substr(0, 2), "ok");
-    EXPECT_EQ(out.lines[1].substr(0, 4), "mem ");
-    EXPECT_EQ(out.lines[4].substr(0, 4), "agg ");
-    EXPECT_NE(out.lines[4].find("2 configs"), std::string::npos);
-}
-
-TEST(BenchCompareTest, RegressionBeyondThresholdFails)
-{
-    const std::vector<prof::SpeedRow> base = {makeRow("a", 100.0)};
-    const std::vector<prof::SpeedRow> slow = {makeRow("a", 50.0)};
-    const auto out = prof::compareSpeed(base, slow, 0.10);
-    EXPECT_FALSE(out.ok);
-    ASSERT_FALSE(out.lines.empty());
-    EXPECT_EQ(out.lines[0].substr(0, 4), "FAIL");
-}
-
-TEST(BenchCompareTest, SmallSlowdownWithinThresholdPasses)
-{
-    const std::vector<prof::SpeedRow> base = {makeRow("a", 100.0)};
-    const std::vector<prof::SpeedRow> cur = {makeRow("a", 95.0)};
-    EXPECT_TRUE(prof::compareSpeed(base, cur, 0.10).ok);
-    // The same delta fails a tighter threshold.
-    EXPECT_FALSE(prof::compareSpeed(base, cur, 0.01).ok);
-}
-
-TEST(BenchCompareTest, SpeedupAlwaysPasses)
-{
-    const std::vector<prof::SpeedRow> base = {makeRow("a", 100.0)};
-    const std::vector<prof::SpeedRow> fast = {makeRow("a", 300.0)};
-    EXPECT_TRUE(prof::compareSpeed(base, fast, 0.10).ok);
-}
-
-TEST(BenchCompareTest, ZeroKipsFailsExplicitly)
-{
-    // A zero-KIPS row records an aborted run; the ratio test would
-    // pass it silently, so the comparison must fail with a message
-    // naming the unusable row.
-    const std::vector<prof::SpeedRow> base = {makeRow("a", 0.0)};
-    const std::vector<prof::SpeedRow> cur = {makeRow("a", 100.0)};
-    const auto out = prof::compareSpeed(base, cur, 0.10);
-    EXPECT_FALSE(out.ok);
-    ASSERT_FALSE(out.lines.empty());
-    EXPECT_EQ(out.lines[0].substr(0, 4), "FAIL");
-    EXPECT_NE(out.lines[0].find("non-positive KIPS"),
-              std::string::npos);
-
-    // And symmetrically for a dead current row.
-    const std::vector<prof::SpeedRow> dead = {makeRow("a", 0.0)};
-    const auto out2 = prof::compareSpeed(cur, dead, 0.10);
-    EXPECT_FALSE(out2.ok);
-    EXPECT_NE(out2.lines[0].find("non-positive KIPS"),
-              std::string::npos);
-}
-
-TEST(BenchCompareTest, AbsentKipsValueIsAnError)
-{
-    // A row with no kips key cannot be compared; the reader names
-    // the offending row instead of failing with a generic message.
-    const std::string doc =
-        "{\"schema\": \"mtsim_bench_speed/v1\", \"rows\": ["
-        "{\"config\": \"a\", \"cycles\": 1, \"retired\": 1, "
-        "\"wall_ms\": 1.0, \"mcps\": 1.0, \"peak_rss_kb\": 1, "
-        "\"digest\": \"0x1\"}]}";
-    try {
-        prof::speedRowsFromJson(parseJson(doc));
-        FAIL() << "expected a runtime_error";
-    } catch (const std::runtime_error &e) {
-        EXPECT_NE(std::string(e.what()).find("no kips value"),
-                  std::string::npos);
-    }
-}
-
-TEST(BenchCompareTest, MissingConfigFails)
-{
-    const std::vector<prof::SpeedRow> base = {makeRow("a", 100.0),
-                                              makeRow("b", 100.0)};
-    const std::vector<prof::SpeedRow> cur = {makeRow("a", 100.0)};
-    const auto out = prof::compareSpeed(base, cur, 0.10);
-    EXPECT_FALSE(out.ok);
-    bool missing = false;
-    for (const auto &l : out.lines)
-        missing = missing || l.find("missing") != std::string::npos;
-    EXPECT_TRUE(missing);
-}
-
-TEST(BenchCompareTest, DigestChangeWarnsButPasses)
-{
-    const std::vector<prof::SpeedRow> base = {
-        makeRow("a", 100.0, "0x1")};
-    const std::vector<prof::SpeedRow> cur = {
-        makeRow("a", 100.0, "0x2")};
-    const auto out = prof::compareSpeed(base, cur, 0.10);
-    EXPECT_TRUE(out.ok);
-    bool warned = false;
-    for (const auto &l : out.lines)
-        warned = warned || l.find("digest changed") != std::string::npos;
-    EXPECT_TRUE(warned);
-}
-
-TEST(BenchCompareTest, AllocGrowthWarnsByDefaultButGatesWithThreshold)
-{
-    prof::SpeedRow base_row = makeRow("a", 100.0);
-    base_row.allocs = 1000;
-    prof::SpeedRow cur_row = makeRow("a", 100.0);
-    cur_row.allocs = 1600; // +60%
-    const std::vector<prof::SpeedRow> base = {base_row};
-    const std::vector<prof::SpeedRow> cur = {cur_row};
-
-    // Default: allocation growth is informational only.
-    const auto warn_only = prof::compareSpeed(base, cur, 0.10);
-    EXPECT_TRUE(warn_only.ok);
-    bool warned = false;
-    for (const auto &l : warn_only.lines)
-        warned = warned ||
-                 (l.substr(0, 4) == "warn" &&
-                  l.find("heap allocations") != std::string::npos);
-    EXPECT_TRUE(warned);
-
-    // With an explicit threshold the same growth gates.
-    const auto gated = prof::compareSpeed(base, cur, 0.10, 0.25);
-    EXPECT_FALSE(gated.ok);
-    bool failed = false;
-    for (const auto &l : gated.lines)
-        failed = failed ||
-                 (l.substr(0, 4) == "FAIL" &&
-                  l.find("heap allocations") != std::string::npos);
-    EXPECT_TRUE(failed);
-
-    // Growth within the threshold still passes the gate.
-    EXPECT_TRUE(prof::compareSpeed(base, cur, 0.10, 0.75).ok);
-}
-
-TEST(BenchCompareTest, AggregateLineReflectsCommonRows)
-{
-    // Aggregate KIPS is total retired over total wall, not a mean of
-    // per-row KIPS values: makeRow fixes retired/wall, so doubling
-    // the current rows' wall time halves the aggregate.
-    prof::SpeedRow base_row = makeRow("a", 100.0);
-    prof::SpeedRow cur_row = makeRow("a", 100.0);
-    cur_row.wallMs = base_row.wallMs * 2.0;
-    const auto out = prof::compareSpeed({base_row}, {cur_row}, 0.99);
-    ASSERT_FALSE(out.lines.empty());
-    const std::string &agg = out.lines.back();
-    ASSERT_EQ(agg.substr(0, 4), "agg ");
-    EXPECT_NE(agg.find("-50.0%"), std::string::npos);
-}
-
-TEST(SpeedJsonTest, HostBlockCarriesAggregateThroughput)
-{
-    const std::vector<prof::SpeedRow> rows = {
-        makeRow("a", 100.0), makeRow("b", 50.0)};
-    std::ostringstream os;
-    prof::writeBenchSpeedJson(os, rows);
-    const JsonValue doc = parseJson(os.str());
-    const JsonValue *host = doc.find("host");
-    ASSERT_NE(host, nullptr);
-    // makeRow: 2000 retired over 3.5 ms each -> 4000 / 7 ms.
-    EXPECT_NEAR(host->at("kips").asDouble(), 4000.0 / 7e-3 / 1e3,
-                1e-6);
-    EXPECT_EQ(host->at("simulated_cycles").asU64(), 2000u);
-    EXPECT_EQ(host->at("retired").asU64(), 4000u);
-}
-
-TEST(BenchCompareTest, NewConfigNoted)
-{
-    const std::vector<prof::SpeedRow> base = {makeRow("a", 100.0)};
-    const std::vector<prof::SpeedRow> cur = {makeRow("a", 100.0),
-                                             makeRow("c", 10.0)};
-    const auto out = prof::compareSpeed(base, cur, 0.10);
-    EXPECT_TRUE(out.ok);
-    bool noted = false;
-    for (const auto &l : out.lines)
-        noted = noted || l.find("new config") != std::string::npos;
-    EXPECT_TRUE(noted);
-}
-
-TEST(BenchCompareTest, ParallelAndSequentialNeverCrossCompare)
-{
-    // Same config name, different host-parallel key: the relaxed
-    // row's KIPS is a different quantity, so it must not satisfy the
-    // sequential baseline row (missing -> FAIL) and must surface as
-    // a new config instead.
-    prof::SpeedRow par = makeRow("a", 400.0);
-    par.hostThreads = 8;
-    par.quantum = 1000;
-    const std::vector<prof::SpeedRow> base = {makeRow("a", 100.0)};
-    const std::vector<prof::SpeedRow> cur = {par};
-    const auto out = prof::compareSpeed(base, cur, 0.10);
-    EXPECT_FALSE(out.ok);
-    bool missing = false, noted = false;
-    for (const auto &l : out.lines) {
-        missing = missing || l.find("missing") != std::string::npos;
-        noted = noted || l.find("new config") != std::string::npos;
-    }
-    EXPECT_TRUE(missing);
-    EXPECT_TRUE(noted);
-    // With the matching parallel baseline present, both rows pair up.
-    prof::SpeedRow par_base = par;
-    par_base.kips = 390.0;
-    const auto ok = prof::compareSpeed({makeRow("a", 100.0), par_base},
-                                       {makeRow("a", 101.0), par},
-                                       0.10);
-    EXPECT_TRUE(ok.ok);
-}
-
-TEST(SpeedMatrixTest, CanonicalMatrixShapeAndScaling)
-{
-    const auto full = prof::canonicalSpeedMatrix();
-    const auto quick = prof::canonicalSpeedMatrix(0.1);
-    ASSERT_EQ(full.size(), 7u);
-    ASSERT_EQ(quick.size(), full.size());
-    for (std::size_t i = 0; i < full.size(); ++i) {
-        EXPECT_EQ(full[i].name, quick[i].name);
-        EXPECT_GT(full[i].cycles, quick[i].cycles);
-    }
-    EXPECT_EQ(full[0].name, "uni/interleaved/1ctx/R0");
-    EXPECT_EQ(full.back().kind, prof::SpeedConfig::Kind::Emitter);
-    // The host-parallel rows are the relaxed tier on the same
-    // water/8p application; sequential rows stay at (1, 1).
-    std::size_t parallel = 0;
-    for (const auto &c : full) {
-        if (c.hostThreads == 1 && c.quantum == 1)
-            continue;
-        ++parallel;
-        EXPECT_EQ(c.kind, prof::SpeedConfig::Kind::Mp);
-        EXPECT_EQ(c.hostThreads, 8u);
-        EXPECT_GT(c.quantum, 1u);
-        EXPECT_NE(c.name.find("/ht8/"), std::string::npos);
-    }
-    EXPECT_EQ(parallel, 2u);
-}
-
-TEST(SpeedMatrixTest, EmitterConfigProducesWork)
-{
-    prof::SpeedConfig c;
-    c.name = "emitter/mxm";
-    c.kind = prof::SpeedConfig::Kind::Emitter;
-    c.workload = "mxm";
-    c.cycles = 10000;
-    const prof::SpeedRow row = prof::runSpeedConfig(c);
-    EXPECT_EQ(row.config, c.name);
-    EXPECT_GT(row.retired, 0u);
-    EXPECT_GT(row.peakRssKb, 0u);
-    EXPECT_EQ(row.digest.substr(0, 2), "0x");
 }
 
 } // namespace

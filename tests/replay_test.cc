@@ -3,8 +3,8 @@
  * Replay front-end differential tests (docs/ARCHITECTURE.md §9): the
  * pre-decoded replay path must be indistinguishable, at probe-stream
  * byte level, from resuming the kernel coroutines lazily. Covered:
- * every kernel the canonical speed matrix drives (the R0 SPEC mix and
- * SPLASH water at both context counts), one extra standalone SPEC
+ * every kernel of the canonical allocation-budget runs (the R0 SPEC
+ * mix and SPLASH water at both context counts), one extra standalone SPEC
  * kernel and one SPLASH uniprocessor kernel, whole-run and windowed
  * digests, and streams crossing an OS swap.
  */

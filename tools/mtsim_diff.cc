@@ -6,7 +6,6 @@
  *
  *   - stats JSON      (mtsim_run --stats-json),
  *   - prof JSON       (mtsim_run --prof-json),
- *   - BENCH_speed.json (mtsim_bench),
  *   - flight-recorder dumps (mtsim_run --fr-dump),
  *   - why ledgers     (mtsim_run --why-json),
  *
@@ -40,9 +39,9 @@ usage()
         "usage: mtsim_diff A.json B.json\n"
         "\n"
         "A and B must be the same kind of document: stats JSON\n"
-        "(--stats-json), prof JSON (--prof-json), BENCH_speed.json,\n"
-        "a flight-recorder dump or a why ledger (--why-json; the\n"
-        "first diverging per-pc row is localized).\n"
+        "(--stats-json), prof JSON (--prof-json), a flight-recorder\n"
+        "dump (--fr-dump) or a why ledger (--why-json; the first\n"
+        "diverging per-pc row is localized).\n"
         "\n"
         "exit status: 0 identical simulated work, 1 divergence,\n"
         "2 error\n";

@@ -49,6 +49,7 @@
 #include "prof/host_info.hh"
 #include "prof/profiler.hh"
 #include "prof/progress.hh"
+#include "prof/speed.hh"
 #include "spec/spec_suite.hh"
 #include "splash/splash_suite.hh"
 #include "system/mp_system.hh"
@@ -78,7 +79,7 @@ struct Options
     bool why = false;
     std::string whyJson;
     bool digest = false;
-    Cycle digestWindow = 10000;
+    Cycle digestWindow = prof::kSpeedDigestWindowCycles;
     std::string frDump;
     std::size_t frSize = FlightRecorder::kDefaultCapacity;
     bool testOsSwapLeak = false;
