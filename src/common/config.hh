@@ -173,13 +173,6 @@ struct Config
     // context instead of bubbling (ablation; paper uses strict RR).
     bool interleavedSkipBlocked = false;
 
-    // Host-side front-end choice (docs/ARCHITECTURE.md §9): when
-    // true, each kernel coroutine is pre-decoded once into an
-    // immutable replay buffer and the processor fetches from a
-    // cursor; when false, the coroutine is resumed lazily per
-    // refill. Simulated results are bit-identical either way.
-    bool replayFrontEnd = true;
-
     // Extension (the paper's "certain jobs are higher priority"
     // workstation requirement): give this hardware context every
     // other issue slot when it is available; remaining slots are

@@ -1,7 +1,5 @@
 #include "system/mp_system.hh"
 
-#include "workload/replay.hh"
-
 namespace mtsim {
 
 namespace {
@@ -51,36 +49,15 @@ MpSystem::numThreads() const
 }
 
 void
-MpSystem::loadApp(const ParallelAppFn &app,
-                  const std::string &cache_key)
+MpSystem::loadApp(const ParallelAppFn &app)
 {
     const std::uint32_t n = numThreads();
     AddressSpace shared(kSharedBase);
     std::vector<KernelFn> kernels = app(n, shared, cfg_.seed);
     for (std::uint32_t t = 0; t < n; ++t) {
-        const Addr code = threadCodeBase(t);
-        const Addr data = threadDataBase(t);
-        const std::uint64_t seed = cfg_.seed + 577 * (t + 1);
-        if (cfg_.replayFrontEnd) {
-            // Kernels capture concrete shared addresses; a fresh
-            // AddressSpace with the same base and request sequence
-            // hands out the same addresses, so one cache key per
-            // (config, thread) pins an identical op stream.
-            auto prog =
-                cache_key.empty()
-                    ? std::make_shared<ReplayProgram>(code, data,
-                                                      seed,
-                                                      kernels[t])
-                    : cachedReplayProgram(cache_key + "/t" +
-                                              std::to_string(t),
-                                          code, data, seed,
-                                          kernels[t]);
-            sources_.push_back(
-                std::make_unique<ReplayCursor>(std::move(prog)));
-        } else {
-            sources_.push_back(std::make_unique<ThreadSource>(
-                code, data, seed, kernels[t]));
-        }
+        sources_.push_back(std::make_unique<ThreadSource>(
+            threadCodeBase(t), threadDataBase(t),
+            cfg_.seed + 577 * (t + 1), kernels[t]));
         const ProcId p = static_cast<ProcId>(t % cfg_.numProcessors);
         const CtxId c = static_cast<CtxId>(t / cfg_.numProcessors);
         procs_[p]->context(c).loadThread(sources_.back().get(), t);

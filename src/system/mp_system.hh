@@ -52,12 +52,9 @@ class MpSystem
     /**
      * Instantiate the application with one thread per hardware
      * context. Thread t runs on processor t % P, context t / P, so
-     * data distribution is stable as the context count varies. A
-     * non-empty @p cache_key reuses the process-wide decoded-program
-     * cache (workload/replay.hh) across systems built with that key.
+     * data distribution is stable as the context count varies.
      */
-    void loadApp(const ParallelAppFn &app,
-                 const std::string &cache_key = {});
+    void loadApp(const ParallelAppFn &app);
 
     /**
      * Barrier id whose first release resets statistics (the paper

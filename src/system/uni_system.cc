@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "workload/replay.hh"
-
 namespace mtsim {
 
 namespace {
@@ -44,27 +42,12 @@ UniSystem::UniSystem(const Config &cfg)
 }
 
 std::uint32_t
-UniSystem::addApp(const std::string &name, const KernelFn &kernel,
-                  const std::string &cache_key)
+UniSystem::addApp(const std::string &name, const KernelFn &kernel)
 {
     const auto app = static_cast<std::uint32_t>(sources_.size());
-    const Addr code = codeBaseOf(app);
-    const Addr data = dataBaseOf(app);
-    const std::uint64_t seed = cfg_.seed + 101 * (app + 1);
-    if (cfg_.replayFrontEnd) {
-        auto prog =
-            cache_key.empty()
-                ? std::make_shared<ReplayProgram>(code, data, seed,
-                                                  kernel)
-                : cachedReplayProgram(cache_key + "/a" +
-                                          std::to_string(app),
-                                      code, data, seed, kernel);
-        sources_.push_back(
-            std::make_unique<ReplayCursor>(std::move(prog)));
-    } else {
-        sources_.push_back(
-            std::make_unique<ThreadSource>(code, data, seed, kernel));
-    }
+    sources_.push_back(std::make_unique<ThreadSource>(
+        codeBaseOf(app), dataBaseOf(app), cfg_.seed + 101 * (app + 1),
+        kernel));
     return sched_.addApp(name, sources_.back().get());
 }
 

@@ -37,14 +37,10 @@ class UniSystem
 
     /**
      * Add an application to the multiprogramming workload. Each app
-     * receives a disjoint text and data segment. A non-empty
-     * @p cache_key reuses the process-wide decoded-program cache
-     * (workload/replay.hh), so later systems built with the same key
-     * skip re-decoding identical kernels.
+     * receives a disjoint text and data segment.
      */
     std::uint32_t addApp(const std::string &name,
-                         const KernelFn &kernel,
-                         const std::string &cache_key = {});
+                         const KernelFn &kernel);
 
     /**
      * Simulate @p warmup cycles (loading caches, completing app
@@ -131,7 +127,7 @@ class UniSystem
      * Cycles advanced by RAW-stall batching: short register/FU
      * ready-time stalls the issue tick proves and the run loop
      * bulk-attributes instead of re-deriving cycle by cycle
-     * (docs/ARCHITECTURE.md §9). Shares the fast-forward gate, so 0
+     * (docs/ARCHITECTURE.md §8). Shares the fast-forward gate, so 0
      * when setFastForward(false). Results are bit-identical either
      * way.
      */

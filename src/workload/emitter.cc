@@ -313,7 +313,6 @@ Emitter::allocFp()
 void
 Emitter::push(MicroOp op)
 {
-    ++emitted_;
     block_.push_back(op);
     if (block_.size() >= kMaxBlockOps)
         flushBlock();
@@ -337,33 +336,16 @@ Emitter::commit(std::vector<MicroOp> &ops)
         op.pc = pc_;
         pc_ += 4;
     }
-    if (sink_)
-        sink_->insert(sink_->end(), ops.begin(), ops.end());
-    else
-        ready_.insert(ready_.end(), ops.begin(), ops.end());
+    out_.insert(out_.end(), ops.begin(), ops.end());
 }
 
 void
-Emitter::emitDirect(const MicroOp &op)
+Emitter::emitDirect(MicroOp op)
 {
-    if (sink_)
-        sink_->push_back(op);
-    else
-        ready_.push_back(op);
-}
-
-MicroOp
-Emitter::popOp()
-{
-    MicroOp op = ready_.front();
-    ready_.pop_front();
-    return op;
-}
-
-std::size_t
-Emitter::pendingOps() const
-{
-    return ready_.size() + block_.size();
+    flushBlock();
+    op.pc = pc_;
+    pc_ += 4;
+    out_.push_back(op);
 }
 
 RegId
@@ -568,16 +550,12 @@ Emitter::here()
 void
 Emitter::branch(RegId cond, Label target, bool taken)
 {
-    flushBlock();
     MicroOp op;
     op.op = Op::Branch;
     op.src1 = cond;
     op.target = target.pc;
     op.taken = taken;
-    op.pc = pc_;
-    pc_ += 4;
     emitDirect(op);
-    ++emitted_;
     if (taken)
         pc_ = target.pc;
 }
@@ -585,16 +563,13 @@ Emitter::branch(RegId cond, Label target, bool taken)
 void
 Emitter::branchFwd(RegId cond, bool taken, std::uint32_t skip_ops)
 {
-    flushBlock();
+    flushBlock();  // the target is relative to the branch's own pc
     MicroOp op;
     op.op = Op::Branch;
     op.src1 = cond;
-    op.pc = pc_;
     op.target = pc_ + 4ull * (skip_ops + 1);
     op.taken = taken;
-    pc_ += 4;
     emitDirect(op);
-    ++emitted_;
     if (taken)
         pc_ = op.target;
 }
@@ -602,29 +577,23 @@ Emitter::branchFwd(RegId cond, bool taken, std::uint32_t skip_ops)
 void
 Emitter::jump(Label target)
 {
-    flushBlock();
     MicroOp op;
     op.op = Op::Jump;
     op.target = target.pc;
     op.taken = true;
-    op.pc = pc_;
     emitDirect(op);
-    ++emitted_;
     pc_ = target.pc;
 }
 
 Emitter::Label
 Emitter::call(Addr region_pc)
 {
-    flushBlock();
     MicroOp op;
     op.op = Op::Jump;
     op.target = region_pc;
     op.taken = true;
-    op.pc = pc_;
     emitDirect(op);
-    ++emitted_;
-    Label return_to{pc_ + 4};
+    Label return_to{pc_};
     pc_ = region_pc;
     return return_to;
 }
@@ -638,65 +607,45 @@ Emitter::ret(Label return_to)
 void
 Emitter::backoff(std::uint16_t cycles)
 {
-    flushBlock();
     MicroOp op;
     op.op = Op::Backoff;
     op.backoffCycles = cycles;
-    op.pc = pc_;
-    pc_ += 4;
     emitDirect(op);
-    ++emitted_;
 }
 
 void
 Emitter::ctxSwitch()
 {
-    flushBlock();
     MicroOp op;
     op.op = Op::CtxSwitch;
-    op.pc = pc_;
-    pc_ += 4;
     emitDirect(op);
-    ++emitted_;
 }
 
 void
 Emitter::lock(std::uint32_t id)
 {
-    flushBlock();
     MicroOp op;
     op.op = Op::Lock;
     op.syncId = id;
-    op.pc = pc_;
-    pc_ += 4;
     emitDirect(op);
-    ++emitted_;
 }
 
 void
 Emitter::unlock(std::uint32_t id)
 {
-    flushBlock();
     MicroOp op;
     op.op = Op::Unlock;
     op.syncId = id;
-    op.pc = pc_;
-    pc_ += 4;
     emitDirect(op);
-    ++emitted_;
 }
 
 void
 Emitter::barrier(std::uint32_t id)
 {
-    flushBlock();
     MicroOp op;
     op.op = Op::Barrier;
     op.syncId = id;
-    op.pc = pc_;
-    pc_ += 4;
     emitDirect(op);
-    ++emitted_;
 }
 
 ThreadSource::ThreadSource(Addr code_base, Addr data_base,
@@ -706,41 +655,23 @@ ThreadSource::ThreadSource(Addr code_base, Addr data_base,
 {}
 
 bool
-ThreadSource::next(MicroOp &op)
+ThreadSource::refill()
 {
-    if (em_.streamEmpty()) {
+    MTSIM_PROF_SCOPE("frontend.replay");
+    // clear() keeps the capacity, so the buffer is allocated by the
+    // first refill, not at setup, and reused by every later one.
+    std::vector<MicroOp> &buf = em_.out();
+    buf.clear();
+    pos_ = 0;
+    {
         MTSIM_PROF_SCOPE("frontend.emit");
-        while (em_.streamEmpty() && coro_.alive())
+        while (buf.size() < kRefillOps && coro_.alive())
             coro_.resume();
-        if (em_.streamEmpty()) {
-            // Coroutine finished: flush any trailing half-block.
-            em_.pause();
-            if (em_.streamEmpty())
-                return false;
-        }
     }
-    op = em_.popOp();
-    return true;
-}
-
-bool
-ThreadSource::drainTo(std::vector<MicroOp> &out, std::size_t target)
-{
-    MTSIM_PROF_SCOPE("frontend.emit");
-    em_.setSink(&out);
-    // Ops already buffered by earlier next() pulls come first, so the
-    // stream order is identical to pulling one op at a time.
-    while (!em_.streamEmpty())
-        out.push_back(em_.popOp());
-    while (out.size() < target && coro_.alive())
-        coro_.resume();
-    const bool more = out.size() >= target;
-    if (!more) {
-        // Coroutine finished: flush any trailing half-block.
+    // Kernel ended: flush any trailing half-block.
+    if (buf.size() < kRefillOps)
         em_.pause();
-    }
-    em_.setSink(nullptr);
-    return more;
+    return !buf.empty();
 }
 
 } // namespace mtsim

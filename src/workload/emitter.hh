@@ -20,8 +20,8 @@
 #ifndef MTSIM_WORKLOAD_EMITTER_HH
 #define MTSIM_WORKLOAD_EMITTER_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -138,23 +138,12 @@ class Emitter
     void unlock(std::uint32_t id);
     void barrier(std::uint32_t id);
 
-    // ---- stream consumption (used by ThreadSource) -----------------
-    bool streamEmpty() const { return ready_.empty(); }
-    MicroOp popOp();
-    /** Ops buffered but not yet consumed. */
-    std::size_t pendingOps() const;
-
     /**
-     * Route every op that finishes scheduling straight into @p sink
-     * instead of the pull-interface deque (bulk decode; see
-     * ThreadSource::drainTo). Pass nullptr to restore deque
-     * buffering. While a sink is attached streamEmpty()/popOp() only
-     * see ops emitted before it was attached.
+     * Finished ops in program order, scheduled and pc-assigned. They
+     * arrive a basic block at a time as blocks are flushed;
+     * ThreadSource clears and refills this one buffer.
      */
-    void setSink(std::vector<MicroOp> *sink) { sink_ = sink; }
-
-    /** Total micro-ops emitted so far (for tests / sizing). */
-    std::uint64_t emittedOps() const { return emitted_; }
+    std::vector<MicroOp> &out() { return out_; }
 
     /** Hard cap on a basic block's length; longer runs are split.
      *  Public so BlockScheduler can size per-op bitmask scratch. */
@@ -163,10 +152,10 @@ class Emitter
   private:
     void push(MicroOp op);
     void flushBlock();
-    /** Assign pcs to @p ops in order and append them downstream. */
+    /** Assign pcs to @p ops in order and append them to out_. */
     void commit(std::vector<MicroOp> &ops);
-    /** Append one finished op to the sink or the ready_ deque. */
-    void emitDirect(const MicroOp &op);
+    /** Flush the pending block, then append @p op at the next pc. */
+    void emitDirect(MicroOp op);
     RegId allocInt();
     RegId allocFp();
 
@@ -177,9 +166,7 @@ class Emitter
     bool schedule_;
 
     std::vector<MicroOp> block_;   ///< current unscheduled basic block
-    std::deque<MicroOp> ready_;    ///< scheduled, pc-assigned stream
-    /** When set, finished ops bypass ready_ (bulk decode path). */
-    std::vector<MicroOp> *sink_ = nullptr;
+    std::vector<MicroOp> out_;     ///< scheduled, pc-assigned stream
     /** Persistent scheduler scratch; reused across blocks so the
      *  steady-state emission path allocates nothing. */
     std::unique_ptr<detail::BlockScheduler> sched_;
@@ -188,7 +175,6 @@ class Emitter
     int fpRot_ = 0;
     std::uint8_t intPinned_ = 0;
     std::uint8_t fpPinned_ = 0;
-    std::uint64_t emitted_ = 0;
 };
 
 /**
@@ -228,31 +214,39 @@ class EmitLoop
 };
 
 /**
- * Adapts a kernel coroutine + Emitter into the InstrSource interface
- * the processor consumes. Resumes the coroutine only when the stream
- * runs dry, keeping memory use bounded.
+ * The front end: adapts a kernel coroutine + Emitter into the
+ * InstrSource interface the processor consumes (docs/ARCHITECTURE.md
+ * §9). next() reads the emitter's one output buffer; once it is used
+ * up, refill() clears it and resumes the coroutine until it holds at
+ * least kRefillOps ops or the kernel ends. A thread so holds at most
+ * one refill plus one resume's ops, however long it runs.
  */
 class ThreadSource : public InstrSource
 {
   public:
+    /** Ops one refill decodes before it stops resuming the kernel. */
+    static constexpr std::size_t kRefillOps = 1024;
+
     ThreadSource(Addr code_base, Addr data_base, std::uint64_t seed,
                  const KernelFn &kernel, bool schedule = true);
 
-    bool next(MicroOp &op) override;
-
-    /**
-     * Bulk decode: append ops to @p out until it holds at least
-     * @p target ops or the kernel runs out (trailing half-block
-     * flushed). Bypasses the per-op deque round trip that next()
-     * pays. @return false once the stream is exhausted.
-     */
-    bool drainTo(std::vector<MicroOp> &out, std::size_t target);
-
-    Emitter &emitter() { return em_; }
+    bool
+    next(MicroOp &op) override
+    {
+        if (pos_ == em_.out().size() && !refill())
+            return false;
+        op = em_.out()[pos_++];
+        return true;
+    }
 
   private:
+    /** Replace the used-up buffer with the next ops of the stream.
+     *  @return false once the kernel has ended and none are left. */
+    bool refill();
+
     Emitter em_;
     KernelCoro coro_;
+    std::size_t pos_ = 0;  ///< next op of em_.out() to hand out
 };
 
 } // namespace mtsim

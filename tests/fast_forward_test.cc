@@ -12,12 +12,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "check/differential.hh"
 #include "common/config.hh"
+#include "prof/profiler.hh"
 #include "splash/splash_suite.hh"
 #include "system/mp_system.hh"
 #include "system/uni_system.hh"
@@ -116,6 +118,68 @@ TEST(FastForward, MpWindowsActuallyFire)
         EXPECT_EQ(sys.fastForwardedCycles(), fastForwarded)
             << "water/8p contexts " << static_cast<int>(contexts);
     }
+}
+
+/** Entries of every profiler scope named @p name under @p node. */
+std::uint64_t
+scopeCalls(const prof::ProfNode &node, const char *name)
+{
+    std::uint64_t calls =
+        std::strcmp(node.name, name) == 0 ? node.calls : 0;
+    for (const auto &child : node.children)
+        calls += scopeCalls(*child, name);
+    return calls;
+}
+
+// Fast-forward attempts ("fastforward" scope entries, perfbench's
+// system.ff_attempts) and front-end refills ("frontend.replay"
+// entries, perfbench's workload.decode_chunks) of interleaved R0 and
+// water/8p. Both are exact for a given build, like the skip pins.
+TEST(FastForward, AttemptAndRefillCountsArePinned)
+{
+#ifdef MTSIM_NO_PROF
+    GTEST_SKIP() << "profiler scopes are compiled out";
+#endif
+    struct Pin
+    {
+        bool mp;
+        std::uint8_t contexts;
+        std::uint64_t attempts;
+        std::uint64_t refills;
+    };
+    const Pin pins[] = {
+        {false, 1, 31359, 40},
+        {false, 4, 39275, 93},
+        {true, 1, 302529, 208},
+        {true, 4, 163689, 256},
+    };
+    prof::Profiler &profiler = prof::Profiler::instance();
+    for (const Pin &pin : pins) {
+        profiler.reset();
+        profiler.enable(true);
+        if (pin.mp) {
+            MpSystem sys(
+                Config::makeMp(Scheme::Interleaved, pin.contexts, 8));
+            sys.loadApp(splashApp("water"));
+            sys.run();
+        } else {
+            UniSystem sys(Config::make(Scheme::Interleaved, pin.contexts));
+            for (const auto &[name, kernel] : mixApps("R0"))
+                sys.addApp(name, kernel);
+            sys.run(100000, 300000);
+        }
+        profiler.enable(false);
+        const std::string run = std::string(pin.mp ? "water/8p" : "R0") +
+                                " contexts " +
+                                std::to_string(pin.contexts);
+        EXPECT_EQ(scopeCalls(profiler.root(), "fastforward"),
+                  pin.attempts)
+            << run;
+        EXPECT_EQ(scopeCalls(profiler.root(), "frontend.replay"),
+                  pin.refills)
+            << run;
+    }
+    profiler.reset();
 }
 
 TEST(FastForward, UniDisabledSkipsNothing)

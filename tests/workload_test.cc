@@ -2,15 +2,17 @@
  * @file
  * Tests for the workload framework: Emitter PC discipline, the
  * Twine-like block scheduler (dependences preserved, loads hoisted),
- * register management, coroutine streaming, and the synthetic
- * workload generator.
+ * register management, coroutine streaming through ThreadSource's
+ * refills, and the synthetic workload generator.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <vector>
 
+#include "splash/splash_suite.hh"
 #include "workload/emitter.hh"
 #include "workload/synthetic.hh"
 
@@ -161,9 +163,8 @@ TEST(Emitter, LoadAddrSrcCreatesDependence)
     RegId p = e.load(0x2000);
     e.load(0x3000, p);
     e.pause();
-    e.popOp();
-    MicroOp second = e.popOp();
-    EXPECT_EQ(second.src1, p);
+    ASSERT_EQ(e.out().size(), 2u);
+    EXPECT_EQ(e.out()[1].src1, p);
 }
 
 TEST(Emitter, SyncOpsCarryIds)
@@ -172,7 +173,8 @@ TEST(Emitter, SyncOpsCarryIds)
     e.lock(7);
     e.unlock(7);
     e.barrier(9);
-    MicroOp l = e.popOp(), u = e.popOp(), b = e.popOp();
+    ASSERT_EQ(e.out().size(), 3u);
+    const MicroOp l = e.out()[0], u = e.out()[1], b = e.out()[2];
     EXPECT_EQ(l.op, Op::Lock);
     EXPECT_EQ(l.syncId, 7u);
     EXPECT_EQ(u.op, Op::Unlock);
@@ -184,7 +186,8 @@ TEST(Emitter, BackoffCarriesCycles)
 {
     Emitter e(0, 0x1000);
     e.backoff(123);
-    MicroOp op = e.popOp();
+    ASSERT_EQ(e.out().size(), 1u);
+    const MicroOp op = e.out()[0];
     EXPECT_EQ(op.op, Op::Backoff);
     EXPECT_EQ(op.backoffCycles, 123u);
 }
@@ -289,6 +292,57 @@ TEST(ThreadSource, FinishedCoroutineEndsStream)
     EXPECT_TRUE(src.next(op));
     EXPECT_FALSE(src.next(op));
     EXPECT_FALSE(src.next(op));   // stays finished
+}
+
+/** Thread 0 of SPLASH water on 8 threads: finite, with sync ops. */
+KernelFn
+waterThread()
+{
+    AddressSpace shared(0x4000000000ull);
+    return splashApp("water")(8, shared, 1)[0];
+}
+
+TEST(ThreadSource, RefillsMatchOneShotDecode)
+{
+    constexpr Addr kCode = 0x100000000ull;
+    constexpr Addr kData = 0x110000000ull;
+
+    // Reference: the whole kernel decoded in one go, noting the most
+    // ops one resume appends.
+    Emitter whole(kCode, kData, 5);
+    KernelCoro coro = waterThread()(whole);
+    std::size_t burst = Emitter::kMaxBlockOps;
+    while (coro.alive()) {
+        const std::size_t before = whole.out().size();
+        coro.resume();
+        burst = std::max(burst, whole.out().size() - before);
+    }
+    whole.pause();
+    const std::vector<MicroOp> &ref = whole.out();
+    // A refill stops resuming once it holds kRefillOps, so it holds
+    // fewer than kRefillOps + burst; a longer stream than two such
+    // refills takes at least three.
+    ASSERT_GT(ref.size(), 2 * (ThreadSource::kRefillOps + burst));
+
+    ThreadSource src(kCode, kData, 5, waterThread());
+    MicroOp op;
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+        ASSERT_TRUE(src.next(op)) << "op " << i;
+        const MicroOp &r = ref[i];
+        ASSERT_EQ(op.op, r.op) << "op " << i;
+        ASSERT_EQ(op.dst, r.dst) << "op " << i;
+        ASSERT_EQ(op.src1, r.src1) << "op " << i;
+        ASSERT_EQ(op.src2, r.src2) << "op " << i;
+        ASSERT_EQ(op.pc, r.pc) << "op " << i;
+        ASSERT_EQ(op.addr, r.addr) << "op " << i;
+        ASSERT_EQ(op.target, r.target) << "op " << i;
+        ASSERT_EQ(op.taken, r.taken) << "op " << i;
+        ASSERT_EQ(op.singlePrec, r.singlePrec) << "op " << i;
+        ASSERT_EQ(op.backoffCycles, r.backoffCycles) << "op " << i;
+        ASSERT_EQ(op.syncId, r.syncId) << "op " << i;
+    }
+    for (int i = 0; i < 3; ++i)
+        EXPECT_FALSE(src.next(op));
 }
 
 // ---- synthetic generator ---------------------------------------------------

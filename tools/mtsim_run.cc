@@ -89,7 +89,6 @@ struct Options
     std::string profJson;
     std::uint64_t progressSeconds = 0;
     bool fastForward = true;
-    bool replay = true;
     std::uint32_t hostThreads = 1;
     Cycle quantum = 1;
     bool help = false;
@@ -234,10 +233,6 @@ usage()
         "                      over provable stall windows (results\n"
         "                      are bit-identical either way; this\n"
         "                      only trades speed for simplicity)\n"
-        "  --no-replay         fetch from the kernel coroutines\n"
-        "                      lazily instead of the pre-decoded\n"
-        "                      replay buffers (bit-identical results;\n"
-        "                      lower host memory, slower)\n"
         "  --host-threads N    (--mp only) shard the nodes across N\n"
         "                      host worker threads of the relaxed\n"
         "                      tier; N > 1 needs --quantum > 1\n"
@@ -336,8 +331,6 @@ parse(int argc, char **argv)
                     "--progress: must be >= 1");
         } else if (a == "--no-fast-forward") {
             o.fastForward = false;
-        } else if (a == "--no-replay") {
-            o.replay = false;
         } else if (a == "--host-threads") {
             o.hostThreads = static_cast<std::uint32_t>(
                 parseHostThreads(a, next()));
@@ -805,7 +798,6 @@ runUniMode(const Options &o)
     cfg.issueWidth = o.width;
     cfg.priorityContext = o.priority;
     cfg.seed = o.seed;
-    cfg.replayFrontEnd = o.replay;
     UniSystem sys(cfg);
     sys.setFastForward(o.fastForward);
     if (!o.app.empty()) {
@@ -935,7 +927,6 @@ runMpMode(const Options &o)
     Config cfg = Config::makeMp(o.scheme, o.contexts, o.procs);
     cfg.issueWidth = o.width;
     cfg.seed = o.seed;
-    cfg.replayFrontEnd = o.replay;
     MpSystem sys(cfg);
     sys.setFastForward(o.fastForward);
     sys.setHostParallel(o.hostThreads, o.quantum);
