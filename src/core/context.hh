@@ -10,7 +10,7 @@
  * kind, fetch/issue cursors) live in a ContextHotState block the
  * owning processor shares across its contexts, stored as contiguous
  * structure-of-arrays so ring scans touch a handful of cache lines
- * instead of chasing per-context objects (docs/ARCHITECTURE.md §9).
+ * instead of chasing per-context objects (docs/ARCHITECTURE.md §3).
  * A standalone ThreadContext (unit tests) owns a single-slot block.
  */
 

@@ -5,7 +5,7 @@
  * blocked scheme's switch-target choice.
  *
  * The primary overloads scan a processor's ContextHotState block
- * (contiguous per-context arrays, docs/ARCHITECTURE.md §9); the
+ * (contiguous per-context arrays, docs/ARCHITECTURE.md §3); the
  * vector<ThreadContext> overloads express the same semantics through
  * the per-context accessors and exist for tests and cold callers.
  * Both read the same SoA-backed truth, so they cannot diverge.

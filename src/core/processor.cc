@@ -144,7 +144,7 @@ Processor::wakeFn(CtxId c)
         if (wakeRouter_ != nullptr)
             wakeRouter_->routeWake(id_, c, resume_at);
         else
-            ctxs_[c].makeUnavailable(resume_at, WaitKind::Sync);
+            applyWake(c, resume_at);
     };
 }
 
@@ -480,11 +480,11 @@ Processor::planFastForward(Cycle now, Cycle limit,
     if (owner < 0) {
         // ---- idle window -------------------------------------------
         // No context is available and none can become available
-        // before its unavailable-until timer expires: sync wakes are
-        // immediate callbacks fired by some context issuing an
-        // unlock/arrive, and nothing issues while the whole system
-        // is inside fast-forward windows. selectOwner mutates no
-        // cursor when it returns -1, so no owner commit is needed.
+        // before its unavailable-until timer expires, except by a
+        // sync wake: an immediate callback from another context's
+        // unlock/arrive, which ends the window at once (applyWake).
+        // selectOwner mutates no cursor when it returns -1, so no
+        // owner commit is needed.
         // Replicate attributeIdle's choice of attributed context.
         int who;
         Cycle wake = kCycleNever;

@@ -106,6 +106,25 @@ class Processor
         bd_.add(cls, static_cast<std::uint64_t>(n) * cfg_.issueWidth);
     }
 
+    // ---- node sleep (MpSystem::run) --------------------------------
+    /**
+     * Sleep through [now, @p plan.until): the run loop stops ticking
+     * this node and calls sleepCycle() at its turn instead. @p plan
+     * is a granted planFastForward window (owner rotation committed)
+     * or a taken RAW-stall batch. applyWake ends the sleep at once.
+     */
+    void sleep(const FastForwardPlan &plan) { sleep_ = plan; }
+    bool asleep(Cycle now) const { return sleep_.until > now; }
+    const FastForwardPlan &sleepPlan() const { return sleep_; }
+
+    /** One slept cycle: attribute it as the sleep's plan says. */
+    void
+    sleepCycle()
+    {
+        if (sleep_.attribute)
+            addSkippedCycles(sleep_.cls, 1);
+    }
+
     /** True if the last tick() issued at least one instruction (the
      *  fast-forward planner is only worth consulting when idle). */
     bool issuedLastTick() const { return issuedLastTick_; }
@@ -224,11 +243,16 @@ class Processor
     /** Divert sync wakes through @p r (nullptr = apply inline). */
     void setWakeRouter(WakeRouter *r) { wakeRouter_ = r; }
 
-    /** Apply a (possibly routed) sync wake to context @p c. */
+    /**
+     * Apply a (possibly routed) sync wake to context @p c. This is
+     * the only write another node makes into this pipeline, and no
+     * sleep plan foresees it, so it ends any sleep at once.
+     */
     void
     applyWake(CtxId c, Cycle resume_at)
     {
         ctxs_[c].makeUnavailable(resume_at, WaitKind::Sync);
+        sleep_.until = 0;
     }
 
     // ---- observability ---------------------------------------------
@@ -395,6 +419,8 @@ class Processor
         bool valid = false;
     };
     StallBatch stallBatch_;
+    /** Current sleep (see sleep()); over once until <= now. */
+    FastForwardPlan sleep_;
 
     CycleBreakdown bd_;
     std::vector<std::pair<std::uint32_t, std::uint64_t>> appRetired_;

@@ -50,6 +50,10 @@ gmtryKernel(Emitter &e)
                     if (!jloop.next(j + 4 < kN))
                         break;
                 }
+                // Once per row: the closing branch just ended the
+                // block, so the pause bounds a resume to one row
+                // without changing the op stream.
+                co_await e.pause();
                 if (!iloop.next(i + 1 < kN))
                     break;
             }

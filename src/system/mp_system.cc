@@ -1,5 +1,7 @@
 #include "system/mp_system.hh"
 
+#include <algorithm>
+
 namespace mtsim {
 
 namespace {
@@ -111,16 +113,19 @@ MpSystem::tryFastForward(Cycle end)
 {
     MTSIM_PROF_SCOPE("fastforward");
     // The finished()-break in run() must keep observing its 64-cycle
-    // boundaries. Only when ALL nodes are provably stalled can no
-    // context wake another through the sync manager mid-window.
+    // boundaries.
     if (finished())
         return false;
-    const Cycle until =
-        planSkipWindow(obs_.nodes(), now_, end, ffPlans_.data());
-    if (until == 0)
+    Cycle until = end;
+    for (std::size_t i = 0; i < procs_.size(); ++i) {
+        ffPlans_[i] = procs_[i]->sleepPlan();
+        until = std::min(until, ffPlans_[i].until);
+    }
+    if (until <= now_)
         return false;
     obs_.onWindow(mem_, ffPlans_.data(), now_, until);
     ffCycles_ += until - now_;
+    sleptNodeCycles_ += (until - now_) * procs_.size();
     now_ = until;
     return true;
 }
@@ -131,33 +136,65 @@ MpSystem::run(Cycle max_cycles)
     const Cycle end = now_ + max_cycles;
     if (quantum_ > 1)
         return runRelaxedParallel(end);
-    // Same arming heuristic as UniSystem::runLoop: a declined plan
-    // stays declined until some node's planner-visible state changes.
-    bool armed = true;
+    // Per-node arming, as in UniSystem::runLoop: a declined plan
+    // stays declined until the node's planner-visible state changes.
+    std::vector<std::uint8_t> armed(procs_.size(), 1);
+    bool all_asleep = false;
     while (now_ < end) {
-        if (ffEnabled_ && armed) {
+        // The clock jumps only when every node sleeps, to the end of
+        // the earliest sleep, where that node takes its turn again.
+        if (all_asleep) {
+            all_asleep = false;
             if (tryFastForward(end))
                 continue;
-            armed = false;
         }
         // A provable no-op before the next event/MSHR completion.
         if (mem_.nextTickAt() <= now_) {
             MTSIM_PROF_SCOPE("mem.tick");
             mem_.tick(now_);
         }
+        all_asleep = ffEnabled_;
         {
             MTSIM_PROF_SCOPE("pipeline");
-            for (auto &p : procs_)
-                p->tick(now_);
+            // Node i takes its turn after nodes 0..i-1 ticked now_,
+            // so it plans against exactly the state its lockstep tick
+            // would see, wakes from those nodes included.
+            for (std::size_t i = 0; i < procs_.size(); ++i) {
+                Processor &p = *procs_[i];
+                if (ffEnabled_ && armed[i] && !p.asleep(now_) &&
+                    !p.issuedLastTick() && !p.shortStallHint()) {
+                    Processor::FastForwardPlan plan;
+                    if (p.planFastForward(now_, end, plan)) {
+                        if (plan.needOwnerCommit)
+                            p.beginFastForward(now_);
+                        p.sleep(plan);
+                    } else {
+                        armed[i] = 0;
+                    }
+                }
+                if (p.asleep(now_)) {
+                    p.sleepCycle();
+                    ++sleptNodeCycles_;
+                } else {
+                    p.tick(now_);
+                    if (p.stateChangedLastTick())
+                        armed[i] = 1;
+                    // RAW-stall batch, slept like a plan. It usually
+                    // ends at the stalled op's issue cycle, where a
+                    // plan attempt is doomed: disarm until that tick.
+                    Cycle b_until = 0;
+                    CycleClass b_cls = CycleClass::Busy;
+                    if (ffEnabled_ &&
+                        p.takeStallBatch(now_ + 1, &b_until, &b_cls)) {
+                        p.sleep({std::min(b_until, end), b_cls});
+                        armed[i] = 0;
+                    }
+                }
+                all_asleep = all_asleep && p.asleep(now_ + 1);
+            }
         }
         obs_.onCycle(now_);
         ++now_;
-        for (const auto &p : procs_) {
-            if (p->stateChangedLastTick()) {
-                armed = true;
-                break;
-            }
-        }
         if ((now_ & 63) == 0 && finished())
             break;
     }

@@ -131,15 +131,23 @@ class MpSystem
     void setProgress(prof::ProgressMeter *p) { obs_.setProgress(p); }
 
     /**
-     * Enable or disable event-driven fast-forward (default on).
-     * When no processor can issue before a known future cycle the
-     * clock jumps there, bulk-attributing every node's skipped
-     * slots. Results are bit-identical either way.
+     * Enable or disable node sleep and the clock jump (default on).
+     * A node that proves it cannot issue before a known future cycle
+     * sleeps until then, its slots attributed cycle by cycle without
+     * a tick; a sync wake ends the sleep at once. When every node
+     * sleeps the clock jumps to the earliest end of a sleep. Off,
+     * the run is pure lockstep. Results are bit-identical either way.
      */
     void setFastForward(bool on) { ffEnabled_ = on; }
 
-    /** Cycles skipped by fast-forward (0 when disabled). */
+    /** Cycles the clock jumped (0 when disabled). */
     Cycle fastForwardedCycles() const { return ffCycles_; }
+
+    /**
+     * Node-cycles not ticked: each node's own sleep cycles plus
+     * processors x the length of each clock jump (0 when disabled).
+     */
+    std::uint64_t sleptNodeCycles() const { return sleptNodeCycles_; }
 
     /**
      * Enable runtime invariant checking on every processor
@@ -152,10 +160,10 @@ class MpSystem
 
   private:
     /**
-     * Attempt one fast-forward jump from now_: valid only when every
-     * processor proves a stall window, because a single issuing
-     * context could wake any other through the sync manager. Returns
-     * true with now_ advanced to the earliest window end.
+     * Jump the clock from now_, where every node sleeps, to the
+     * earliest end of a sleep (capped at @p end), attributing each
+     * node's window through ObserverSet::onWindow. Refused once
+     * finished() holds. Returns true with now_ advanced.
      */
     bool tryFastForward(Cycle end);
 
@@ -174,9 +182,10 @@ class MpSystem
     std::uint32_t statsBarrier_ = ~0u;
     bool ffEnabled_ = true;
     Cycle ffCycles_ = 0;
+    std::uint64_t sleptNodeCycles_ = 0;
     std::uint32_t hostThreads_ = 1;
     Cycle quantum_ = 1;
-    /** Scratch per-processor plans (avoids per-attempt allocation). */
+    /** Scratch copy of the nodes' sleep plans for a clock jump. */
     std::vector<Processor::FastForwardPlan> ffPlans_;
 };
 

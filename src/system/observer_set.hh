@@ -2,9 +2,9 @@
  * @file
  * What the two cycle-exact run loops (UniSystem::runLoop and
  * MpSystem::run) share: the observers attached to a run, the tail
- * that ends every ticked cycle, and the one path every provably idle
- * window takes (docs/ARCHITECTURE.md section 8). The workstation is
- * the one-node case throughout.
+ * that ends every ticked cycle, and the one path every window the
+ * clock skips takes (docs/ARCHITECTURE.md section 8). The
+ * workstation is the one-node case throughout.
  */
 
 #ifndef MTSIM_SYSTEM_OBSERVER_SET_HH
@@ -31,7 +31,10 @@ namespace mtsim {
 
 /**
  * Plan one skip window from @p now, capped at @p limit, over every
- * node in @p nodes; plans[i] receives nodes[i]'s plan. Two-phase:
+ * node in @p nodes; plans[i] receives nodes[i]'s plan. The
+ * workstation (one node) and each relaxed shard use it; the
+ * sequential MP loop lets each node sleep on its own instead
+ * (MpSystem::run). Two-phase:
  * each node plans against the window the nodes before it left (a
  * plan stays valid on any prefix of itself), and only when all of
  * them prove one are the plans committed. Returns the common window
@@ -188,8 +191,10 @@ class ObserverSet
     Cycle statsStart() const { return statsStart_; }
 
     /**
-     * End ticked cycle @p c, after every node ticked it: checker,
-     * ledger, a requested stats clear, sampler, then progress meter.
+     * End ticked cycle @p c, after every node took its turn in it
+     * (a tick, or one attributed cycle of an MP node's sleep):
+     * checker, ledger, a requested stats clear, sampler, then
+     * progress meter.
      */
     void
     onCycle(Cycle c)

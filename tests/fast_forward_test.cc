@@ -1,13 +1,14 @@
 /**
  * @file
- * Fast-forward equivalence tests. The event-driven clock jump
- * (UniSystem/MpSystem::setFastForward) must be invisible: every
- * configuration's RunSignature - probe digest, event count, cycles,
- * retired instructions, full cycle breakdown - is bit-identical with
- * fast-forward on and off, including with the invariant checker
- * observing every skipped cycle. Two more tests pin the exact number
- * of cycles each system skips, so the equivalence is not vacuous and
- * a skip-path regression fails without any timing involved.
+ * Fast-forward equivalence tests. The event-driven clock jump and
+ * the MP's node sleep (UniSystem/MpSystem::setFastForward) must be
+ * invisible: every configuration's RunSignature - probe digest,
+ * event count, cycles, retired instructions, full cycle breakdown -
+ * is bit-identical with fast-forward on and off, including with the
+ * invariant checker observing every skipped cycle. Two more tests
+ * pin the exact number of cycles each system skips, so the
+ * equivalence is not vacuous and a skip-path regression fails
+ * without any timing involved.
  */
 
 #include <gtest/gtest.h>
@@ -71,11 +72,12 @@ TEST(FastForward, UniCheckerObservesSkippedCyclesIdentically)
     expectUniEquivalent(Scheme::Blocked, 4, "R0", true);
 }
 
-// Exact skip counts. A node ticks on every simulated cycle that is
-// neither fast-forwarded nor stall-batched, so these pins also fix
-// the tick count of each run. A planner that declines a window it
-// used to take moves them on any host. Regenerate only when a change
-// means to move skip decisions, and say why.
+// Exact skip counts. The workstation ticks on every simulated cycle
+// that is neither fast-forwarded nor stall-batched, an MP node on
+// every node-cycle it does not sleep, so these pins also fix the tick
+// count of each run. A planner that declines a window it used to take
+// moves them on any host. Regenerate only when a change means to move
+// skip decisions, and say why.
 
 TEST(FastForward, UniWindowsActuallyFire)
 {
@@ -108,15 +110,28 @@ TEST(FastForward, UniWindowsActuallyFire)
 
 TEST(FastForward, MpWindowsActuallyFire)
 {
-    // water on 8 nodes, interleaved, run to completion.
-    const std::pair<std::uint8_t, Cycle> pins[] = {{1, 42121},
-                                                   {4, 2161}};
-    for (const auto &[contexts, fastForwarded] : pins) {
-        MpSystem sys(Config::makeMp(Scheme::Interleaved, contexts, 8));
+    // water on 8 nodes, interleaved, run to completion: the cycles
+    // the clock jumped, and the node-cycles not ticked (each node's
+    // own sleep cycles plus 8 x each jump).
+    struct Pin
+    {
+        std::uint8_t contexts;
+        Cycle fastForwarded;
+        std::uint64_t sleptNodeCycles;
+    };
+    const Pin pins[] = {
+        {1, 71462, 2790548},
+        {4, 1676, 600023},
+    };
+    for (const Pin &pin : pins) {
+        MpSystem sys(
+            Config::makeMp(Scheme::Interleaved, pin.contexts, 8));
         sys.loadApp(splashApp("water"));
         sys.run();
-        EXPECT_EQ(sys.fastForwardedCycles(), fastForwarded)
-            << "water/8p contexts " << static_cast<int>(contexts);
+        EXPECT_EQ(sys.fastForwardedCycles(), pin.fastForwarded)
+            << "water/8p contexts " << static_cast<int>(pin.contexts);
+        EXPECT_EQ(sys.sleptNodeCycles(), pin.sleptNodeCycles)
+            << "water/8p contexts " << static_cast<int>(pin.contexts);
     }
 }
 
@@ -150,8 +165,8 @@ TEST(FastForward, AttemptAndRefillCountsArePinned)
     const Pin pins[] = {
         {false, 1, 31359, 40},
         {false, 4, 39275, 93},
-        {true, 1, 302529, 208},
-        {true, 4, 163689, 256},
+        {true, 1, 35389, 208},
+        {true, 4, 425, 256},
     };
     prof::Profiler &profiler = prof::Profiler::instance();
     for (const Pin &pin : pins) {
@@ -222,6 +237,50 @@ TEST(FastForward, MpCheckedBitIdentical)
                        << "\n  ff on:  " << describe(on);
     EXPECT_EQ(on.checkViolations, 0u);
 }
+
+// Node sleep on every SPLASH app at 8 nodes: fast-forward on and off
+// must agree on every config, breakdown included. A wake that ends a
+// sleep at the waiter's resume cycle instead of at once keeps every
+// probe digest and cycle count but moves the breakdown (water at 2
+// contexts, locus, pthor, cholesky), so this compares the whole
+// signature; locus and pthor also run with the checker attached.
+class FastForwardSplash : public ::testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(FastForwardSplash, NodeSleepMatchesLockstep)
+{
+    const std::string &name = GetParam();
+    const ParallelAppFn app = splashApp(name);
+    const bool checked = name == "locus" || name == "pthor";
+    const std::pair<Scheme, std::uint8_t> configs[] = {
+        {Scheme::Single, 1},      {Scheme::Blocked, 2},
+        {Scheme::Blocked, 4},     {Scheme::Interleaved, 2},
+        {Scheme::Interleaved, 4},
+    };
+    for (const auto &[scheme, contexts] : configs) {
+        const Config cfg = Config::makeMp(scheme, contexts, 8);
+        for (const bool check : {false, true}) {
+            if (check && !checked)
+                continue;
+            const RunSignature off =
+                mpSignature(cfg, app, check, 300000, false);
+            const RunSignature on =
+                mpSignature(cfg, app, check, 300000, true);
+            EXPECT_EQ(off, on)
+                << name << " scheme " << static_cast<int>(scheme)
+                << " contexts " << static_cast<int>(contexts)
+                << (check ? " checked" : "")
+                << "\n  ff off: " << describe(off)
+                << "\n  ff on:  " << describe(on);
+            EXPECT_EQ(on.checkViolations, 0u);
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllSplashApps, FastForwardSplash,
+                         ::testing::ValuesIn(splashApps()),
+                         [](const auto &info) { return info.param; });
 
 } // namespace
 } // namespace mtsim

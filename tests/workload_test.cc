@@ -10,8 +10,10 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
 #include <vector>
 
+#include "spec/spec_suite.hh"
 #include "splash/splash_suite.hh"
 #include "workload/emitter.hh"
 #include "workload/synthetic.hh"
@@ -343,6 +345,28 @@ TEST(ThreadSource, RefillsMatchOneShotDecode)
     }
     for (int i = 0; i < 3; ++i)
         EXPECT_FALSE(src.next(op));
+}
+
+// A refill resumes the kernel until its buffer holds kRefillOps, so
+// the buffer peaks at kRefillOps plus one resume's ops: a kernel that
+// goes long between pauses grows its thread's buffer with it.
+TEST(ThreadSource, SpecKernelResumesStayBounded)
+{
+    constexpr std::size_t kOps = 3000000;
+    constexpr std::size_t kMaxResumeOps = 32 * ThreadSource::kRefillOps;
+    for (const std::string &app : specApps()) {
+        Emitter e(0x100000000ull, 0x110000000ull, 3);
+        KernelCoro coro = specKernel(app)(e);
+        std::size_t total = 0;
+        std::size_t most = 0;
+        while (total < kOps && coro.alive()) {
+            e.out().clear();
+            coro.resume();
+            most = std::max(most, e.out().size());
+            total += e.out().size();
+        }
+        EXPECT_LE(most, kMaxResumeOps) << app;
+    }
 }
 
 // ---- synthetic generator ---------------------------------------------------

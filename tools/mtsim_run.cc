@@ -229,10 +229,11 @@ usage()
         "                      JSON (implies --prof)\n"
         "  --progress N        print cycle count and KIPS to stderr\n"
         "                      every N host seconds\n"
-        "  --no-fast-forward   disable the event-driven clock jump\n"
-        "                      over provable stall windows (results\n"
-        "                      are bit-identical either way; this\n"
-        "                      only trades speed for simplicity)\n"
+        "  --no-fast-forward   tick every node every cycle (pure\n"
+        "                      lockstep): no stall-window skips, no\n"
+        "                      RAW-stall batches, no MP node sleep or\n"
+        "                      clock jump (results are bit-identical\n"
+        "                      either way; only speed changes)\n"
         "  --host-threads N    (--mp only) shard the nodes across N\n"
         "                      host worker threads of the relaxed\n"
         "                      tier; N > 1 needs --quantum > 1\n"
