@@ -78,9 +78,13 @@ dumpBenchRows()
 void
 recordRow(BenchRow row)
 {
+    // Construct the rows before registering the dump: exit runs
+    // handlers and destroys statics in reverse order, so the vector
+    // then outlives the dump that reads it.
+    std::vector<BenchRow> &rows = benchRows();
     static std::once_flag once;
     std::call_once(once, [] { std::atexit(dumpBenchRows); });
-    benchRows().push_back(std::move(row));
+    rows.push_back(std::move(row));
 }
 
 /**

@@ -754,21 +754,20 @@ Processor::noteStallBatch(int c, const MicroOp &op, Cycle fu_free,
     capAt(ctx.scoreboard().regReady(op.dst));
     if (until <= now + 1)
         return;
-    stallBatch_.from = now + 1;
-    stallBatch_.until = until;
-    stallBatch_.cls = why;
-    stallBatch_.valid = true;
+    batch_ = {until, why};
 }
 
-bool
-Processor::takeStallBatch(Cycle from, Cycle *until, CycleClass *cls)
+void
+Processor::planSleep(Cycle now, Cycle limit)
 {
-    if (!stallBatch_.valid || stallBatch_.from != from)
-        return false;
-    stallBatch_.valid = false;
-    *until = stallBatch_.until;
-    *cls = stallBatch_.cls;
-    return true;
+    FastForwardPlan plan;
+    if (!planFastForward(now, limit, plan)) {
+        armed_ = false;
+        return;
+    }
+    if (plan.needOwnerCommit)
+        beginFastForward(now);
+    sleep_ = plan;
 }
 
 void
@@ -780,7 +779,7 @@ Processor::tick(Cycle now)
     issuedLastTick_ = false;
     shortStallHint_ = false;
     stateChangedLastTick_ = false;
-    stallBatch_.valid = false;
+    batch_.until = 0;
 
     processMissEvents(now);
     retireDue(now);
@@ -971,7 +970,7 @@ Processor::issueFrom(int c, Cycle now, bool attribute_stall)
         }
         // A stall this short cannot yield a fast-forward window on
         // the next cycle (its cap would be <= next-now + 1), so let
-        // the run loop skip the doomed plan attempt.
+        // the next turn skip the doomed plan attempt.
         if (startable <= now + 2)
             shortStallHint_ = true;
         if (attribute_stall) {

@@ -24,6 +24,7 @@
 #ifndef MTSIM_CORE_PROCESSOR_HH
 #define MTSIM_CORE_PROCESSOR_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -106,24 +107,69 @@ class Processor
         bd_.add(cls, static_cast<std::uint64_t>(n) * cfg_.issueWidth);
     }
 
-    // ---- node sleep (MpSystem::run) --------------------------------
+    // ---- node sleep (UniSystem and MpSystem run loops) --------------
     /**
-     * Sleep through [now, @p plan.until): the run loop stops ticking
-     * this node and calls sleepCycle() at its turn instead. @p plan
-     * is a granted planFastForward window (owner rotation committed)
-     * or a taken RAW-stall batch. applyWake ends the sleep at once.
+     * This node's turn in cycle @p now, after memory (and on the
+     * workstation the OS scheduler) ticked @p now and nodes
+     * 0..id()-1 took their turns. No sleep reaches past @p limit.
+     *  - Awake and armed, with no issue and no short-stall hint last
+     *    tick, it plans a sleep through [now, until). A declined plan
+     *    disarms it until a tick changes planner-visible state
+     *    (stateChangedLastTick) or the system calls rearm().
+     *  - Asleep, it attributes one cycle as its sleep's plan says
+     *    instead of ticking.
+     *  - Otherwise it ticks. A RAW-stall batch that tick recorded
+     *    becomes a sleep from now + 1, and disarms the node: the batch
+     *    usually ends at the stalled op's issue cycle, where a plan
+     *    attempt is doomed.
+     * Results are bit-identical to tick(now) every cycle. Only the
+     * plan attempt is out of line.
      */
-    void sleep(const FastForwardPlan &plan) { sleep_ = plan; }
+    void
+    turn(Cycle now, Cycle limit)
+    {
+        if (armed_ && sleep_.until <= now && !issuedLastTick_ &&
+            !shortStallHint_)
+            planSleep(now, limit);
+        if (sleep_.until > now) {
+            sleepCycles(1);
+            return;
+        }
+        tick(now);
+        if (stateChangedLastTick_)
+            armed_ = true;
+        if (batch_.until != 0) {
+            const Cycle until = std::min(batch_.until, limit);
+            if (until > now + 1) {
+                sleep_ = {until, batch_.cls};
+                batchedCycles_ += until - (now + 1);
+                armed_ = false;
+            }
+        }
+    }
+
+    /** Let the next turn plan again (the workstation calls this when
+     *  its OS scheduler acts). */
+    void rearm() { armed_ = true; }
+
     bool asleep(Cycle now) const { return sleep_.until > now; }
     const FastForwardPlan &sleepPlan() const { return sleep_; }
 
-    /** One slept cycle: attribute it as the sleep's plan says. */
+    /** Attribute @p n slept cycles as the sleep's plan says (the
+     *  clock jump calls this for the cycles it skips). */
     void
-    sleepCycle()
+    sleepCycles(Cycle n)
     {
         if (sleep_.attribute)
-            addSkippedCycles(sleep_.cls, 1);
+            addSkippedCycles(sleep_.cls, n);
+        sleptCycles_ += n;
     }
+
+    /** Cycles this node slept instead of ticking, jumps included. */
+    Cycle sleptCycles() const { return sleptCycles_; }
+
+    /** Cycles of the RAW-stall batches this node slept through. */
+    Cycle batchedCycles() const { return batchedCycles_; }
 
     /** True if the last tick() issued at least one instruction (the
      *  fast-forward planner is only worth consulting when idle). */
@@ -133,8 +179,8 @@ class Processor
      * True if the last tick() changed planner-visible state: issued,
      * retired, processed a miss event, or sat in a stall-timer
      * window. A declined fast-forward plan stays declined until this
-     * fires again, so the system only re-plans after such a tick
-     * (purely a scheduling heuristic - never affects results).
+     * fires again, so turn() re-arms only after such a tick (purely
+     * a scheduling heuristic - never affects results).
      */
     bool stateChangedLastTick() const { return stateChangedLastTick_; }
 
@@ -146,24 +192,6 @@ class Processor
      * not made changes nothing).
      */
     bool shortStallHint() const { return shortStallHint_; }
-
-    /**
-     * RAW-stall batch: when a tick()'s only obstacle was a short
-     * register/FU ready-time (single-issue, exactly one available
-     * context, no retire/miss/stall-timer event due inside the
-     * window, switch hint off, constant stall classification), the
-     * tick records the remaining provably-identical stall cycles
-     * [now+1, until). Consuming the batch and bulk-attributing
-     * `cls` for those cycles is bit-identical to ticking them:
-     * each one would re-run the same owner selection and hazard
-     * check, attribute one slot of `cls`, emit no probe events and
-     * mutate nothing.
-     *
-     * One-shot: valid only for the cycle immediately after the tick
-     * that recorded it (@p from must equal that cycle), and cleared
-     * by the call. Returns false otherwise.
-     */
-    bool takeStallBatch(Cycle from, Cycle *until, CycleClass *cls);
 
     ThreadContext &context(CtxId c) { return ctxs_[c]; }
     const ThreadContext &context(CtxId c) const { return ctxs_[c]; }
@@ -343,16 +371,20 @@ class Processor
                               Cycle reg_ready, Cycle now) const;
 
     /**
-     * Try to record a RAW-stall batch from issueFrom's hazard-stall
-     * path (see takeStallBatch). @p why is the classification the
-     * caller attributed for this tick; the capAt breakpoints keep it
-     * valid for the whole window. Caps the window at every event
-     * that could make a skipped cycle differ from this one: a retire
-     * or miss-detect coming due, another context waking, or a
+     * Try to record a RAW-stall batch (batch_) from issueFrom's
+     * hazard-stall path. @p why is the classification the caller
+     * attributed for this tick; the capAt breakpoints keep it valid
+     * for the whole window. Caps the window at every event that could
+     * make a skipped cycle differ from this one: a retire or
+     * miss-detect coming due, another context waking, or a
      * classification breakpoint (FU-free / register-ready crossing).
      */
     void noteStallBatch(int c, const MicroOp &op, Cycle fu_free,
                         CycleClass why, Cycle startable, Cycle now);
+
+    /** turn()'s plan attempt: sleep on a granted planFastForward
+     *  window (owner rotation committed), disarm on a declined one. */
+    void planSleep(Cycle now, Cycle limit);
 
     SyncManager::WakeFn wakeFn(CtxId c);
 
@@ -410,17 +442,28 @@ class Processor
     /** Last tick stalled on a hazard resolving within two cycles. */
     bool shortStallHint_ = false;
 
-    /** Pending RAW-stall batch (see takeStallBatch). */
+    /**
+     * RAW-stall batch the last tick() recorded (until 0: none). When
+     * that tick's only obstacle was a short register/FU ready time
+     * (single issue, exactly one available context, no retire, miss
+     * or stall-timer event due inside the window, switch hint off,
+     * constant stall classification), every cycle in [tick + 1,
+     * until) would re-run the same owner selection and hazard check,
+     * attribute one slot of `cls`, emit no probe event and mutate
+     * nothing, so turn() sleeps through them.
+     */
     struct StallBatch
     {
-        Cycle from = 0;  ///< first skippable cycle (tick cycle + 1)
-        Cycle until = 0; ///< exclusive end of the window
+        Cycle until = 0;
         CycleClass cls = CycleClass::ShortInstr;
-        bool valid = false;
     };
-    StallBatch stallBatch_;
-    /** Current sleep (see sleep()); over once until <= now. */
+    StallBatch batch_;
+    /** Current sleep (see turn()); over once until <= now. */
     FastForwardPlan sleep_;
+    /** Plan at the next awake turn (see turn()). */
+    bool armed_ = true;
+    Cycle sleptCycles_ = 0;
+    Cycle batchedCycles_ = 0;
 
     CycleBreakdown bd_;
     std::vector<std::pair<std::uint32_t, std::uint64_t>> appRetired_;

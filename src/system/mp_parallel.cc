@@ -77,6 +77,37 @@ class ShardRouter final : public Processor::WakeRouter
     std::vector<par::WakeMailbox> *boxes_;
 };
 
+/**
+ * Plan one skip window from @p now, capped at @p limit, over every
+ * node of a shard; plans[i] receives nodes[i]'s plan. Two-phase:
+ * each node plans against the window the nodes before it left (a
+ * plan stays valid on any prefix of itself), and only when all of
+ * them prove one are the plans committed. Returns the common window
+ * end, or 0 when a node issued last tick, hit a short stall, or
+ * declines. planFastForward only grants windows of two or more
+ * cycles, so a returned window always is one.
+ */
+Cycle
+planSkipWindow(std::span<Processor *const> nodes, Cycle now,
+               Cycle limit, Processor::FastForwardPlan *plans)
+{
+    for (const Processor *n : nodes) {
+        if (n->issuedLastTick() || n->shortStallHint())
+            return 0;
+    }
+    Cycle until = limit;
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+        if (!nodes[i]->planFastForward(now, until, plans[i]))
+            return 0;
+        until = std::min(until, plans[i].until);
+    }
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+        if (plans[i].needOwnerCommit)
+            nodes[i]->beginFastForward(now);
+    }
+    return until;
+}
+
 } // namespace
 
 void

@@ -38,7 +38,6 @@ MpSystem::MpSystem(const Config &cfg)
     }
     for (auto &p : procs_)
         obs_.addNode(p.get());
-    ffPlans_.resize(procs_.size());
     mem_.setProbeBus(&probes_);
     sync_.setProbeBus(&probes_);
 }
@@ -108,44 +107,21 @@ MpSystem::finished() const
     return true;
 }
 
-bool
-MpSystem::tryFastForward(Cycle end)
-{
-    MTSIM_PROF_SCOPE("fastforward");
-    // The finished()-break in run() must keep observing its 64-cycle
-    // boundaries.
-    if (finished())
-        return false;
-    Cycle until = end;
-    for (std::size_t i = 0; i < procs_.size(); ++i) {
-        ffPlans_[i] = procs_[i]->sleepPlan();
-        until = std::min(until, ffPlans_[i].until);
-    }
-    if (until <= now_)
-        return false;
-    obs_.onWindow(mem_, ffPlans_.data(), now_, until);
-    ffCycles_ += until - now_;
-    sleptNodeCycles_ += (until - now_) * procs_.size();
-    now_ = until;
-    return true;
-}
-
 Cycle
 MpSystem::run(Cycle max_cycles)
 {
     const Cycle end = now_ + max_cycles;
     if (quantum_ > 1)
         return runRelaxedParallel(end);
-    // Per-node arming, as in UniSystem::runLoop: a declined plan
-    // stays declined until the node's planner-visible state changes.
-    std::vector<std::uint8_t> armed(procs_.size(), 1);
     bool all_asleep = false;
     while (now_ < end) {
         // The clock jumps only when every node sleeps, to the end of
         // the earliest sleep, where that node takes its turn again.
+        // A finished run does not jump (its limit is now_), so the
+        // finished() break below lands where lockstep puts it.
         if (all_asleep) {
             all_asleep = false;
-            if (tryFastForward(end))
+            if (obs_.jump(mem_, now_, finished() ? now_ : end))
                 continue;
         }
         // A provable no-op before the next event/MSHR completion.
@@ -156,41 +132,15 @@ MpSystem::run(Cycle max_cycles)
         all_asleep = ffEnabled_;
         {
             MTSIM_PROF_SCOPE("pipeline");
-            // Node i takes its turn after nodes 0..i-1 ticked now_,
-            // so it plans against exactly the state its lockstep tick
-            // would see, wakes from those nodes included.
-            for (std::size_t i = 0; i < procs_.size(); ++i) {
-                Processor &p = *procs_[i];
-                if (ffEnabled_ && armed[i] && !p.asleep(now_) &&
-                    !p.issuedLastTick() && !p.shortStallHint()) {
-                    Processor::FastForwardPlan plan;
-                    if (p.planFastForward(now_, end, plan)) {
-                        if (plan.needOwnerCommit)
-                            p.beginFastForward(now_);
-                        p.sleep(plan);
-                    } else {
-                        armed[i] = 0;
-                    }
-                }
-                if (p.asleep(now_)) {
-                    p.sleepCycle();
-                    ++sleptNodeCycles_;
-                } else {
-                    p.tick(now_);
-                    if (p.stateChangedLastTick())
-                        armed[i] = 1;
-                    // RAW-stall batch, slept like a plan. It usually
-                    // ends at the stalled op's issue cycle, where a
-                    // plan attempt is doomed: disarm until that tick.
-                    Cycle b_until = 0;
-                    CycleClass b_cls = CycleClass::Busy;
-                    if (ffEnabled_ &&
-                        p.takeStallBatch(now_ + 1, &b_until, &b_cls)) {
-                        p.sleep({std::min(b_until, end), b_cls});
-                        armed[i] = 0;
-                    }
-                }
-                all_asleep = all_asleep && p.asleep(now_ + 1);
+            // Node i takes its turn after nodes 0..i-1 took theirs in
+            // now_, so it plans against exactly the state its lockstep
+            // tick would see, wakes from those nodes included.
+            for (const auto &p : procs_) {
+                if (ffEnabled_)
+                    p->turn(now_, end);
+                else
+                    p->tick(now_);
+                all_asleep = all_asleep && p->asleep(now_ + 1);
             }
         }
         obs_.onCycle(now_);
@@ -209,6 +159,15 @@ MpSystem::aggregateBreakdown() const
     for (const auto &p : procs_)
         sum += p->breakdown();
     return sum;
+}
+
+std::uint64_t
+MpSystem::sleptNodeCycles() const
+{
+    std::uint64_t n = 0;
+    for (const auto &p : procs_)
+        n += p->sleptCycles();
+    return n;
 }
 
 std::uint64_t

@@ -141,13 +141,13 @@ class MpSystem
     void setFastForward(bool on) { ffEnabled_ = on; }
 
     /** Cycles the clock jumped (0 when disabled). */
-    Cycle fastForwardedCycles() const { return ffCycles_; }
+    Cycle fastForwardedCycles() const { return obs_.jumpedCycles(); }
 
     /**
      * Node-cycles not ticked: each node's own sleep cycles plus
      * processors x the length of each clock jump (0 when disabled).
      */
-    std::uint64_t sleptNodeCycles() const { return sleptNodeCycles_; }
+    std::uint64_t sleptNodeCycles() const;
 
     /**
      * Enable runtime invariant checking on every processor
@@ -159,14 +159,6 @@ class MpSystem
     InvariantChecker *checker() { return obs_.checker(); }
 
   private:
-    /**
-     * Jump the clock from now_, where every node sleeps, to the
-     * earliest end of a sleep (capped at @p end), attributing each
-     * node's window through ObserverSet::onWindow. Refused once
-     * finished() holds. Returns true with now_ advanced.
-     */
-    bool tryFastForward(Cycle end);
-
     /** The relaxed host-parallel tier (system/mp_parallel.cc). */
     Cycle runRelaxedParallel(Cycle end);
 
@@ -181,12 +173,8 @@ class MpSystem
     Cycle measured_ = 0;
     std::uint32_t statsBarrier_ = ~0u;
     bool ffEnabled_ = true;
-    Cycle ffCycles_ = 0;
-    std::uint64_t sleptNodeCycles_ = 0;
     std::uint32_t hostThreads_ = 1;
     Cycle quantum_ = 1;
-    /** Scratch copy of the nodes' sleep plans for a clock jump. */
-    std::vector<Processor::FastForwardPlan> ffPlans_;
 };
 
 } // namespace mtsim

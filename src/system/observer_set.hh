@@ -2,9 +2,10 @@
  * @file
  * What the two cycle-exact run loops (UniSystem::runLoop and
  * MpSystem::run) share: the observers attached to a run, the tail
- * that ends every ticked cycle, and the one path every window the
- * clock skips takes (docs/ARCHITECTURE.md section 8). The
- * workstation is the one-node case throughout.
+ * that ends every cycle the nodes take their turns in, and the one
+ * clock jump over cycles in which every node sleeps
+ * (docs/ARCHITECTURE.md section 8). The workstation is the one-node
+ * case throughout.
  */
 
 #ifndef MTSIM_SYSTEM_OBSERVER_SET_HH
@@ -13,7 +14,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "check/check_config.hh"
@@ -28,40 +28,6 @@
 #include "prof/progress.hh"
 
 namespace mtsim {
-
-/**
- * Plan one skip window from @p now, capped at @p limit, over every
- * node in @p nodes; plans[i] receives nodes[i]'s plan. The
- * workstation (one node) and each relaxed shard use it; the
- * sequential MP loop lets each node sleep on its own instead
- * (MpSystem::run). Two-phase:
- * each node plans against the window the nodes before it left (a
- * plan stays valid on any prefix of itself), and only when all of
- * them prove one are the plans committed. Returns the common window
- * end, or 0 when a node issued last tick, hit a short stall, or
- * declines. planFastForward only grants windows of two or more
- * cycles, so a returned window always is one.
- */
-inline Cycle
-planSkipWindow(std::span<Processor *const> nodes, Cycle now,
-               Cycle limit, Processor::FastForwardPlan *plans)
-{
-    for (const Processor *n : nodes) {
-        if (n->issuedLastTick() || n->shortStallHint())
-            return 0;
-    }
-    Cycle until = limit;
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-        if (!nodes[i]->planFastForward(now, until, plans[i]))
-            return 0;
-        until = std::min(until, plans[i].until);
-    }
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-        if (plans[i].needOwnerCommit)
-            nodes[i]->beginFastForward(now);
-    }
-    return until;
-}
 
 /**
  * The observers of one system's run - invariant checker, latency-
@@ -191,10 +157,9 @@ class ObserverSet
     Cycle statsStart() const { return statsStart_; }
 
     /**
-     * End ticked cycle @p c, after every node took its turn in it
-     * (a tick, or one attributed cycle of an MP node's sleep):
-     * checker, ledger, a requested stats clear, sampler, then
-     * progress meter.
+     * End cycle @p c, after every node took its turn in it (a tick,
+     * or one attributed cycle of its sleep): checker, ledger, a
+     * requested stats clear, sampler, then progress meter.
      */
     void
     onCycle(Cycle c)
@@ -215,44 +180,50 @@ class ObserverSet
     }
 
     /**
-     * Advance through the skip window [@p lo, @p hi), in which node i
-     * stalls as plans[i] says, draining @p mem. This is the only place
-     * that chooses how:
-     *  - With a checker attached every cycle is replayed - memory
-     *    events at their own cycle, one cycle of attribution, onCycle -
-     *    so the checker sees exactly the lockstep stream.
-     *  - Otherwise memory drains once (event callbacks keep their
-     *    original timestamps, so this is order-identical to the
-     *    per-cycle drains) and each node is attributed once. The
-     *    ledger, sampler and progress meter take the window whole: no
-     *    busy slot can accrue inside it, so none forces replay.
+     * Jump the clock from @p now, after a cycle at whose end every
+     * node sleeps, to the earliest end of a sleep, capped at
+     * @p limit; returns false, with @p now unchanged, when that is
+     * not past @p now. Memory drains once (event callbacks keep their
+     * original timestamps, so this is order-identical to the
+     * per-cycle drains) and each node attributes the window as its
+     * sleep's plan says. The ledger, sampler and progress meter take
+     * the window whole: no busy slot can accrue inside it. With a
+     * checker attached the jump is refused, and the sleeping nodes
+     * take their turns cycle by cycle, the lockstep stream it audits.
      */
     template <class Mem>
-    void
-    onWindow(Mem &mem, const Processor::FastForwardPlan *plans,
-             Cycle lo, Cycle hi)
+    bool
+    jump(Mem &mem, Cycle &now, Cycle limit)
     {
-        if (checker_) {
-            for (Cycle c = lo; c < hi; ++c) {
-                if (mem.nextTickAt() <= c)
-                    mem.tick(c);
-                attribute(plans, 1);
-                onCycle(c);
+        if (checker_)
+            return false;
+        MTSIM_PROF_SCOPE("fastforward");
+        Cycle until = limit;
+        for (const Processor *n : nodes_)
+            until = std::min(until, n->sleepPlan().until);
+        if (until <= now)
+            return false;
+        if (mem.nextTickAt() <= until - 1)
+            mem.tick(until - 1);
+        for (std::size_t i = 0; i < nodes_.size(); ++i) {
+            nodes_[i]->sleepCycles(until - now);
+            if (why_) {
+                const Processor::FastForwardPlan &plan =
+                    nodes_[i]->sleepPlan();
+                why_->onBulkWindow(static_cast<ProcId>(i), now, until,
+                                   plan.cls, plan.attribute);
             }
-            return;
-        }
-        if (mem.nextTickAt() <= hi - 1)
-            mem.tick(hi - 1);
-        attribute(plans, hi - lo);
-        if (why_) {
-            for (std::size_t i = 0; i < nodes_.size(); ++i)
-                why_->onBulkWindow(static_cast<ProcId>(i), lo, hi,
-                                   plans[i].cls, plans[i].attribute);
         }
         if (sampling_ && sampler_)
-            sampler_->observeWindow(lo, hi, busy());
-        pollProgress(hi - 1);
+            sampler_->observeWindow(now, until, busy());
+        pollProgress(until - 1);
+        jumped_ += until - now;
+        now = until;
+        return true;
     }
+
+    /** Cycles the clock jumped (0 with fast-forward off). */
+    Cycle jumpedCycles() const { return jumped_; }
 
     /** Report progress at @p c whatever its alignment. */
     void
@@ -263,15 +234,6 @@ class ObserverSet
     }
 
   private:
-    void
-    attribute(const Processor::FastForwardPlan *plans, Cycle n)
-    {
-        for (std::size_t i = 0; i < nodes_.size(); ++i) {
-            if (plans[i].attribute)
-                nodes_[i]->addSkippedCycles(plans[i].cls, n);
-        }
-    }
-
     /** Busy slots so far, summed over the nodes (sampled value). */
     double
     busy() const
@@ -300,6 +262,7 @@ class ObserverSet
     bool clearPending_ = false;
     bool statsCleared_ = false;
     Cycle statsStart_ = 0;
+    Cycle jumped_ = 0;
 };
 
 } // namespace mtsim

@@ -94,20 +94,14 @@ UniSystem::run(Cycle warmup, Cycle measure)
 void
 UniSystem::runLoop(Cycle end)
 {
-    // Consult the fast-forward planner only while "armed": a busy
-    // pipeline cannot prove a window, and a declined plan stays
-    // declined until the processor's planner-visible state changes
-    // again. Pure scheduling heuristic - results are unaffected.
-    bool armed = true;
+    // The MP's node-sleep loop (MpSystem::run) with one node.
+    bool asleep = false;
     while (now_ < end) {
-        if (ffEnabled_ && armed && !proc_.issuedLastTick() &&
-            !proc_.shortStallHint()) {
-            if (tryFastForward(end))
+        if (asleep) {
+            asleep = false;
+            if (obs_.jump(mem_, now_, end))
                 continue;
-            armed = false;
         }
-        // The scheduler acting (slice boundary) also re-arms: an OS
-        // swap changes the context picture behind the flag's back.
         const bool sched_acts = sched_.nextActionCycle() <= now_;
         // Both ticks are provable no-ops before their next-action
         // cycles, so quiet cycles skip the calls outright.
@@ -118,56 +112,24 @@ UniSystem::runLoop(Cycle end)
         if (sched_acts) {
             MTSIM_PROF_SCOPE("os");
             sched_.tick(now_);
+            // A new slice moves the sleep limit, and an OS swap
+            // changes the context picture behind the armed flag.
+            proc_.rearm();
         }
         {
             MTSIM_PROF_SCOPE("pipeline");
-            proc_.tick(now_);
+            if (ffEnabled_) {
+                // No sleep may cross the scheduler's next action (its
+                // tick is a provable no-op only before then).
+                proc_.turn(now_, std::min(end, sched_.nextActionCycle()));
+                asleep = proc_.asleep(now_ + 1);
+            } else {
+                proc_.tick(now_);
+            }
         }
         obs_.onCycle(now_);
         ++now_;
-        if (proc_.stateChangedLastTick() || sched_acts)
-            armed = true;
-        // RAW-stall batch: the tick just proved its remaining stall
-        // cycles are bit-identical pure stalls; advance them as one
-        // attributed window instead of re-deriving each one. The
-        // window may not cross the scheduler's next action cycle (its
-        // tick is a provable no-op before then). Gated with
-        // fast-forward so --no-fast-forward still means pure lockstep.
-        Cycle b_until = 0;
-        CycleClass b_cls = CycleClass::Busy;
-        if (ffEnabled_ && proc_.takeStallBatch(now_, &b_until, &b_cls)) {
-            const Processor::FastForwardPlan batch{
-                std::min({b_until, sched_.nextActionCycle(), end}),
-                b_cls};
-            if (batch.until > now_) {
-                obs_.onWindow(mem_, &batch, now_, batch.until);
-                batchedCycles_ += batch.until - now_;
-                now_ = batch.until;
-                // The window usually ends at the stalled op's issue
-                // cycle; a plan attempt there is doomed. Disarm - the
-                // issue tick re-arms via stateChangedLastTick().
-                armed = false;
-            }
-        }
     }
-}
-
-bool
-UniSystem::tryFastForward(Cycle end)
-{
-    MTSIM_PROF_SCOPE("fastforward");
-    // The scheduler mutates its slice state at nextActionCycle, so
-    // no window may cross it (its tick is a no-op before then).
-    Processor::FastForwardPlan plan;
-    const Cycle until = planSkipWindow(
-        obs_.nodes(), now_, std::min(end, sched_.nextActionCycle()),
-        &plan);
-    if (until == 0)
-        return false;
-    obs_.onWindow(mem_, &plan, now_, until);
-    ffCycles_ += until - now_;
-    now_ = until;
-    return true;
 }
 
 double

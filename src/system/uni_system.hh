@@ -110,28 +110,28 @@ class UniSystem
     void setProgress(prof::ProgressMeter *p) { obs_.setProgress(p); }
 
     /**
-     * Enable or disable event-driven fast-forward (default on).
-     * When every loaded context is stalled with a known resume cycle
-     * the clock jumps to the earliest wake-up, bulk-attributing the
-     * skipped issue slots through the regular breakdown accounting.
-     * Results are bit-identical either way: an attached checker
-     * replays the skipped cycles' streams exactly; ledger, sampler
-     * and progress meter consume bulk windows whole.
+     * Enable or disable node sleep and the clock jump (default on),
+     * as on the MP with one node (docs/ARCHITECTURE.md section 8).
+     * The processor sleeps through a stall window it proves, or
+     * through the RAW-stall batch its tick records, and the clock
+     * jumps to the end of the sleep, its slots attributed through
+     * the regular breakdown accounting. No sleep crosses the OS
+     * scheduler's next action. Off, the run is pure lockstep.
+     * Results are bit-identical either way.
      */
     void setFastForward(bool on) { ffEnabled_ = on; }
 
-    /** Cycles skipped by fast-forward (0 when disabled). */
-    Cycle fastForwardedCycles() const { return ffCycles_; }
+    /** Cycles the clock jumped (0 when disabled, and with a checker
+     *  attached, which refuses the jump). */
+    Cycle fastForwardedCycles() const { return obs_.jumpedCycles(); }
 
     /**
-     * Cycles advanced by RAW-stall batching: short register/FU
-     * ready-time stalls the issue tick proves and the run loop
-     * bulk-attributes instead of re-deriving cycle by cycle
-     * (docs/ARCHITECTURE.md §8). Shares the fast-forward gate, so 0
-     * when setFastForward(false). Results are bit-identical either
-     * way.
+     * Cycles the processor slept through RAW-stall batches: short
+     * register/FU ready-time stalls its tick proves (0 when
+     * disabled). The clock jumps over them like over any sleep, so
+     * fastForwardedCycles() counts them too.
      */
-    Cycle stallBatchedCycles() const { return batchedCycles_; }
+    Cycle stallBatchedCycles() const { return proc_.batchedCycles(); }
 
     /**
      * Enable runtime invariant checking (docs/CHECKING.md). Must be
@@ -145,14 +145,8 @@ class UniSystem
     InvariantChecker *checker() { return obs_.checker(); }
 
   private:
-    /** Simulate lockstep cycles until @p end. */
+    /** Simulate cycles until @p end. */
     void runLoop(Cycle end);
-    /**
-     * Attempt one fast-forward jump from now_. Returns true (with
-     * now_ advanced) when the processor proved a stall window; the
-     * caller then re-enters the loop.
-     */
-    bool tryFastForward(Cycle end);
 
     Config cfg_;
     ProbeBus probes_;
@@ -165,8 +159,6 @@ class UniSystem
     Cycle measured_ = 0;
     bool started_ = false;
     bool ffEnabled_ = true;
-    Cycle ffCycles_ = 0;
-    Cycle batchedCycles_ = 0;
 };
 
 } // namespace mtsim

@@ -1,14 +1,14 @@
 /**
  * @file
- * Fast-forward equivalence tests. The event-driven clock jump and
- * the MP's node sleep (UniSystem/MpSystem::setFastForward) must be
- * invisible: every configuration's RunSignature - probe digest,
- * event count, cycles, retired instructions, full cycle breakdown -
- * is bit-identical with fast-forward on and off, including with the
- * invariant checker observing every skipped cycle. Two more tests
- * pin the exact number of cycles each system skips, so the
- * equivalence is not vacuous and a skip-path regression fails
- * without any timing involved.
+ * Fast-forward equivalence tests. Node sleep and the clock jump
+ * (UniSystem/MpSystem::setFastForward; the workstation is the
+ * one-node case) must be invisible: every configuration's
+ * RunSignature - probe digest, event count, cycles, retired
+ * instructions, full cycle breakdown - is bit-identical with
+ * fast-forward on and off, including with the invariant checker
+ * observing every slept cycle. More tests pin the exact number of
+ * cycles each system skips, so the equivalence is not vacuous and a
+ * skip-path regression fails without any timing involved.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +21,7 @@
 #include "check/differential.hh"
 #include "common/config.hh"
 #include "prof/profiler.hh"
+#include "spec/spec_suite.hh"
 #include "splash/splash_suite.hh"
 #include "system/mp_system.hh"
 #include "system/uni_system.hh"
@@ -63,48 +64,52 @@ TEST(FastForward, UniMatrixBitIdentical)
 
 TEST(FastForward, UniCheckerObservesSkippedCyclesIdentically)
 {
-    // With checking enabled the skipped cycles are replayed to the
-    // checker one by one; slot conservation and the shadow state
-    // audits must hold on every one of them, and the signature must
-    // still match the lockstep run.
+    // With checking enabled the clock does not jump: the sleeping
+    // processor takes its turns cycle by cycle, and slot conservation
+    // and the shadow state audits must hold on every one of them,
+    // with the signature still matching the lockstep run.
     expectUniEquivalent(Scheme::Interleaved, 1, "R0", true);
     expectUniEquivalent(Scheme::Interleaved, 4, "DC", true);
     expectUniEquivalent(Scheme::Blocked, 4, "R0", true);
 }
 
-// Exact skip counts. The workstation ticks on every simulated cycle
-// that is neither fast-forwarded nor stall-batched, an MP node on
-// every node-cycle it does not sleep, so these pins also fix the tick
-// count of each run. A planner that declines a window it used to take
-// moves them on any host. Regenerate only when a change means to move
-// skip decisions, and say why.
+// Exact skip counts. A node ticks on every cycle it does not sleep,
+// so these pins also fix the tick count of each run. A planner that
+// declines a window it used to take moves them on any host.
+// Regenerate only when a change means to move skip decisions, and say
+// why.
 
 TEST(FastForward, UniWindowsActuallyFire)
 {
+    // R0 at 100k + 300k cycles: the cycles the clock jumped, those
+    // slept through RAW-stall batches (jumped too), and every cycle
+    // the processor slept, the first cycle of each planned sleep
+    // included.
     struct Pin
     {
         Scheme scheme;
         std::uint8_t contexts;
         Cycle fastForwarded;
         Cycle stallBatched;
+        Cycle slept;
     };
     const Pin pins[] = {
-        {Scheme::Single, 1, 4893, 175793},
-        {Scheme::Blocked, 4, 13272, 1},
-        {Scheme::Interleaved, 1, 3380, 175369},
-        {Scheme::Interleaved, 4, 60236, 1000},
+        {Scheme::Single, 1, 179678, 175752, 180687},
+        {Scheme::Blocked, 4, 12332, 1, 13273},
+        {Scheme::Interleaved, 1, 178219, 175328, 178750},
+        {Scheme::Interleaved, 4, 57277, 1000, 61237},
     };
     for (const Pin &pin : pins) {
         UniSystem sys(Config::make(pin.scheme, pin.contexts));
         for (const auto &[name, kernel] : mixApps("R0"))
             sys.addApp(name, kernel);
         sys.run(100000, 300000);
-        EXPECT_EQ(sys.fastForwardedCycles(), pin.fastForwarded)
-            << "R0 scheme " << static_cast<int>(pin.scheme)
-            << " contexts " << static_cast<int>(pin.contexts);
-        EXPECT_EQ(sys.stallBatchedCycles(), pin.stallBatched)
-            << "R0 scheme " << static_cast<int>(pin.scheme)
-            << " contexts " << static_cast<int>(pin.contexts);
+        const std::string run =
+            "R0 scheme " + std::to_string(static_cast<int>(pin.scheme)) +
+            " contexts " + std::to_string(pin.contexts);
+        EXPECT_EQ(sys.fastForwardedCycles(), pin.fastForwarded) << run;
+        EXPECT_EQ(sys.stallBatchedCycles(), pin.stallBatched) << run;
+        EXPECT_EQ(sys.processor().sleptCycles(), pin.slept) << run;
     }
 }
 
@@ -146,10 +151,12 @@ scopeCalls(const prof::ProfNode &node, const char *name)
     return calls;
 }
 
-// Fast-forward attempts ("fastforward" scope entries, perfbench's
+// Clock-jump attempts ("fastforward" scope entries, perfbench's
 // system.ff_attempts) and front-end refills ("frontend.replay"
 // entries, perfbench's workload.decode_chunks) of interleaved R0 and
-// water/8p. Both are exact for a given build, like the skip pins.
+// water/8p. Both are exact for a given build, like the skip pins. The
+// scope opens only when every node sleeps; a node's own plan attempts
+// run inside "pipeline".
 TEST(FastForward, AttemptAndRefillCountsArePinned)
 {
 #ifdef MTSIM_NO_PROF
@@ -163,8 +170,8 @@ TEST(FastForward, AttemptAndRefillCountsArePinned)
         std::uint64_t refills;
     };
     const Pin pins[] = {
-        {false, 1, 31359, 40},
-        {false, 4, 39275, 93},
+        {false, 1, 23587, 40},
+        {false, 4, 4863, 93},
         {true, 1, 35389, 208},
         {true, 4, 425, 256},
     };
@@ -197,6 +204,9 @@ TEST(FastForward, AttemptAndRefillCountsArePinned)
     profiler.reset();
 }
 
+// With fast-forward off nothing sleeps and nothing jumps. A sleep
+// that leaked into the lockstep loop would keep every signature, so
+// only these counts catch it.
 TEST(FastForward, UniDisabledSkipsNothing)
 {
     const Config cfg = Config::make(Scheme::Interleaved, 1);
@@ -206,6 +216,19 @@ TEST(FastForward, UniDisabledSkipsNothing)
         sys.addApp(name, kernel);
     sys.run(kWarm, kMeasure);
     EXPECT_EQ(sys.fastForwardedCycles(), 0u);
+    EXPECT_EQ(sys.stallBatchedCycles(), 0u);
+    EXPECT_EQ(sys.processor().sleptCycles(), 0u);
+}
+
+TEST(FastForward, MpDisabledSkipsNothing)
+{
+    MpSystem sys(Config::makeMp(Scheme::Interleaved, 1, 4));
+    sys.setFastForward(false);
+    sys.loadApp(splashApp("water"));
+    sys.run();
+    EXPECT_TRUE(sys.finished());
+    EXPECT_EQ(sys.fastForwardedCycles(), 0u);
+    EXPECT_EQ(sys.sleptNodeCycles(), 0u);
 }
 
 TEST(FastForward, MpBitIdentical)
@@ -280,6 +303,58 @@ TEST_P(FastForwardSplash, NodeSleepMatchesLockstep)
 
 INSTANTIATE_TEST_SUITE_P(AllSplashApps, FastForwardSplash,
                          ::testing::ValuesIn(splashApps()),
+                         [](const auto &info) { return info.param; });
+
+// The workstation across OS slice boundaries (every 50,000 cycles)
+// and resident-set swaps (every 150,000, single/1 only): perfbench
+// uni's 21 configurations, 7 mixes x single/1, blocked/4 and
+// interleaved/4, at 100k + 250k cycles. The shorter runs above reach
+// neither. No sleep may cross the scheduler's next action, and a
+// slice boundary re-arms the planner, so this compares whole
+// signatures with fast-forward on and off, and again with the
+// checker on the single and interleaved configs.
+class FastForwardSlices : public ::testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(FastForwardSlices, WorkstationMatchesLockstep)
+{
+    const UniApps apps = mixApps(GetParam());
+    const std::pair<Scheme, std::uint8_t> configs[] = {
+        {Scheme::Single, 1},
+        {Scheme::Blocked, 4},
+        {Scheme::Interleaved, 4},
+    };
+    for (const auto &[scheme, contexts] : configs) {
+        const Config cfg = Config::make(scheme, contexts);
+        for (const bool check : {false, true}) {
+            if (check && scheme == Scheme::Blocked)
+                continue;
+            const RunSignature off =
+                uniSignature(cfg, apps, 100000, 250000, check, false);
+            const RunSignature on =
+                uniSignature(cfg, apps, 100000, 250000, check, true);
+            EXPECT_EQ(off, on)
+                << GetParam() << " scheme " << static_cast<int>(scheme)
+                << " contexts " << static_cast<int>(contexts)
+                << (check ? " checked" : "")
+                << "\n  ff off: " << describe(off)
+                << "\n  ff on:  " << describe(on);
+            EXPECT_EQ(on.checkViolations, 0u);
+        }
+    }
+}
+
+std::vector<std::string>
+perfbenchMixes()
+{
+    std::vector<std::string> mixes = uniWorkloadNames();
+    mixes.push_back("SP");
+    return mixes;
+}
+
+INSTANTIATE_TEST_SUITE_P(PerfbenchMixes, FastForwardSlices,
+                         ::testing::ValuesIn(perfbenchMixes()),
                          [](const auto &info) { return info.param; });
 
 } // namespace

@@ -230,10 +230,12 @@ usage()
         "  --progress N        print cycle count and KIPS to stderr\n"
         "                      every N host seconds\n"
         "  --no-fast-forward   tick every node every cycle (pure\n"
-        "                      lockstep): no stall-window skips, no\n"
-        "                      RAW-stall batches, no MP node sleep or\n"
-        "                      clock jump (results are bit-identical\n"
-        "                      either way; only speed changes)\n"
+        "                      lockstep): no node sleeps through a\n"
+        "                      proven stall window or RAW-stall\n"
+        "                      batch, and the clock never jumps, on\n"
+        "                      the workstation (one node) or the MP\n"
+        "                      (results are bit-identical either way;\n"
+        "                      only speed changes)\n"
         "  --host-threads N    (--mp only) shard the nodes across N\n"
         "                      host worker threads of the relaxed\n"
         "                      tier; N > 1 needs --quantum > 1\n"
