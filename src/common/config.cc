@@ -1,5 +1,6 @@
 #include "common/config.hh"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace mtsim {
@@ -57,6 +58,13 @@ Config::validate() const
         throw std::invalid_argument("multithreaded scheme needs contexts");
     if (intPipeDepth < 5)
         throw std::invalid_argument("integer pipeline too shallow");
+    // An op stays in flight for its pipe depth and a cycle issues at
+    // most issueWidth ops; the processor's retire pass keeps the
+    // in-flight set as one 64-bit mask.
+    if (std::uint64_t{issueWidth} * std::max(intPipeDepth, fpPipeDepth) >
+        64)
+        throw std::invalid_argument(
+            "issueWidth x pipeline depth must be <= 64 in-flight ops");
     if (sw.missDetectStage >= intPipeDepth)
         throw std::invalid_argument(
             "miss detect stage must lie within the pipeline");

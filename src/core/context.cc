@@ -1,5 +1,8 @@
 #include "core/context.hh"
 
+#include <algorithm>
+#include <bit>
+
 namespace mtsim {
 
 ThreadContext::ThreadContext(CtxId id, ContextHotState *hot,
@@ -21,9 +24,7 @@ ThreadContext::loadThread(InstrSource *src, std::uint32_t app_id)
 {
     source_ = src;
     appId_ = app_id;
-    buf_.clear();
-    readIdx_ = 0;
-    baseSeq_ = nextSeq_;       // sequence numbers stay monotonic
+    baseSeq_ = readSeq_ = nextSeq_;  // sequence numbers stay monotonic
     sourceDone_ = false;
     hot_->unavailUntil[slot_] = 0;
     hot_->waitKind[slot_] = WaitKind::None;
@@ -39,9 +40,7 @@ void
 ThreadContext::unloadThread()
 {
     source_ = nullptr;
-    buf_.clear();
-    readIdx_ = 0;
-    baseSeq_ = nextSeq_;
+    baseSeq_ = readSeq_ = nextSeq_;
     // An empty slot holds no register state: without this, ready
     // times from the unloaded thread would greet the next loadThread
     // caller that forgets the reset.
@@ -57,30 +56,43 @@ ThreadContext::peek(MicroOp &op)
 {
     if (!loaded())
         return false;
-    if (readIdx_ < buf_.size()) {
-        op = buf_[readIdx_];
+    if (readSeq_ < nextSeq_) {
+        op = window_[readSeq_ & windowMask_];
         return true;
     }
     if (sourceDone_)
         return false;
-    MicroOp fetched;
+    if (windowSize() == window_.size())
+        growWindow();
+    MicroOp &fetched = window_[nextSeq_ & windowMask_];
     if (!source_->next(fetched)) {
         sourceDone_ = true;
         updateRunnable();
         return false;
     }
     fetched.seq = nextSeq_++;
-    buf_.push_back(fetched);
     op = fetched;
     return true;
 }
 
 void
+ThreadContext::growWindow()
+{
+    static_assert(std::has_single_bit(kInitialWindow));
+    std::vector<MicroOp> grown(
+        std::max(2 * window_.size(), kInitialWindow));
+    const SeqNum mask = grown.size() - 1;
+    for (SeqNum s = baseSeq_; s < nextSeq_; ++s)
+        grown[s & mask] = window_[s & windowMask_];
+    window_.swap(grown);
+    windowMask_ = mask;
+}
+
+void
 ThreadContext::rollbackTo(SeqNum seq)
 {
-    assert(seq >= baseSeq_);
-    readIdx_ = static_cast<std::size_t>(seq - baseSeq_);
-    assert(readIdx_ <= buf_.size());
+    assert(seq >= baseSeq_ && seq <= nextSeq_);
+    readSeq_ = seq;
     if (sourceDone_)
         updateRunnable();
 }
@@ -89,12 +101,9 @@ void
 ThreadContext::retireUpTo(SeqNum seq)
 {
     // Never release instructions that have not issued yet.
-    while (!buf_.empty() && baseSeq_ <= seq && readIdx_ > 0) {
-        buf_.pop_front();
-        ++baseSeq_;
-        if (readIdx_ > 0)
-            --readIdx_;
-    }
+    const SeqNum end = seq < readSeq_ ? seq + 1 : readSeq_;
+    if (end > baseSeq_)
+        baseSeq_ = end;
     if (sourceDone_)
         updateRunnable();
 }

@@ -19,7 +19,6 @@
 
 #include <cassert>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -102,8 +101,8 @@ class ThreadContext
     void
     consume()
     {
-        assert(readIdx_ < buf_.size());
-        ++readIdx_;
+        assert(readSeq_ < nextSeq_);
+        ++readSeq_;
         if (sourceDone_)
             updateRunnable();
     }
@@ -120,7 +119,7 @@ class ThreadContext
     /** True once the source is exhausted and all ops consumed. */
     bool finished() const
     {
-        return sourceDone_ && readIdx_ >= buf_.size();
+        return sourceDone_ && readSeq_ >= nextSeq_;
     }
 
     /** loaded() && !finished(), read from the shared hot block. */
@@ -162,11 +161,18 @@ class ThreadContext
     std::uint64_t retired() const { return retiredCount_; }
     void noteRetired(std::uint64_t n = 1) { retiredCount_ += n; }
 
+    /** Ops the window ring holds after the first fetch allocates it. */
+    static constexpr std::size_t kInitialWindow = 64;
+
     /** Pending (fetched, unconsumed + in-flight) window size. */
-    std::size_t windowSize() const { return buf_.size(); }
+    std::size_t
+    windowSize() const
+    {
+        return static_cast<std::size_t>(nextSeq_ - baseSeq_);
+    }
 
     /** Sequence number the next issued instruction will carry. */
-    SeqNum nextIssueSeq() const { return baseSeq_ + readIdx_; }
+    SeqNum nextIssueSeq() const { return readSeq_; }
 
     /**
      * The load whose miss made this context unavailable. On replay
@@ -185,6 +191,11 @@ class ThreadContext
             (source_ != nullptr && !finished()) ? 1 : 0;
     }
 
+    /** Grow the window ring to twice its size (kInitialWindow when
+     *  empty), keeping the ops in [baseSeq_, nextSeq_) at their
+     *  seq's new slot. */
+    void growWindow();
+
     CtxId id_;
     std::size_t slot_;
     ContextHotState *hot_;
@@ -196,10 +207,18 @@ class ThreadContext
     InstrSource *source_ = nullptr;
     std::uint32_t appId_ = 0;
 
-    std::deque<MicroOp> buf_;   ///< fetched but not yet retired
-    std::size_t readIdx_ = 0;   ///< next op to issue, index into buf_
-    SeqNum baseSeq_ = 0;        ///< seq of buf_.front()
-    SeqNum nextSeq_ = 0;
+    /**
+     * The window: ops fetched but not yet released, seqs
+     * [baseSeq_, nextSeq_), op s at window_[s & windowMask_]. A
+     * power-of-two ring, empty until the first fetch, that grows when
+     * a fetch finds it full, so fetching allocates nothing once the
+     * ring fits the deepest window the run reaches.
+     */
+    std::vector<MicroOp> window_;
+    SeqNum windowMask_ = 0;
+    SeqNum baseSeq_ = 0;        ///< oldest op not yet released
+    SeqNum readSeq_ = 0;        ///< next op to issue
+    SeqNum nextSeq_ = 0;        ///< next op to fetch
     bool sourceDone_ = false;
 
     SeqNum missReplaySeq_ = ~SeqNum(0);

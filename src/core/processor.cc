@@ -1,6 +1,7 @@
 #include "core/processor.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 #include "core/issue_policy.hh"
@@ -284,40 +285,61 @@ Processor::retireDue(Cycle now)
 {
     if (now < nextRetireAt_)
         return;
+    // One branch-free pass: the due set as a bitmask (Config::validate
+    // bounds the in-flight count by 64) and the survivors' minimum.
+    const std::size_t n = inflight_.size();
+    assert(n <= 64);
+    std::uint64_t due = 0;
     Cycle next = kCycleNever;
-    bool any = false;
-    for (std::size_t i = 0; i < inflight_.size();) {
-        InFlight &f = inflight_[i];
-        if (f.retireAt <= now) {
-            ctxs_[f.ctx].noteRetired();
-            ++retiredTotal_;
-            bool found = false;
-            for (auto &entry : appRetired_) {
-                if (entry.first == f.appId) {
-                    ++entry.second;
-                    found = true;
-                    break;
-                }
-            }
-            if (!found)
-                appRetired_.emplace_back(f.appId, 1);
-            f = inflight_.back();
-            inflight_.pop_back();
-            any = true;
-        } else {
-            if (f.retireAt < next)
-                next = f.retireAt;
-            ++i;
-        }
+    for (std::size_t i = 0; i < n; ++i) {
+        const Cycle r = inflight_[i].retireAt;
+        due |= std::uint64_t{r <= now} << i;
+        next = std::min(next, r <= now ? kCycleNever : r);
     }
     nextRetireAt_ = next;
-    if (any) {
-        stateChangedLastTick_ = true;
-        if (now >= lastRelease_ + 32) {
-            releaseRetired();
-            lastRelease_ = now;
+    if (due == 0)
+        return;
+
+    // Remove the due entries exactly as an ascending swap-remove scan
+    // would: each hole takes the last entry, and a due entry pulled in
+    // from the tail retires on the spot. squashFrom emits its events
+    // in inflight_'s order, so the survivors' order is observable.
+    std::size_t live = n;
+    for (std::uint64_t m = due; m != 0;) {
+        const auto hole = static_cast<std::size_t>(std::countr_zero(m));
+        retireOne(inflight_[hole]);
+        while (--live > hole) {
+            if (((due >> live) & 1) == 0) {
+                inflight_[hole] = inflight_[live];
+                break;
+            }
+            retireOne(inflight_[live]);
+        }
+        // Entries at or past live are gone; hole is filled or gone.
+        m &= (std::uint64_t{1} << live) - 1;
+        m &= ~(std::uint64_t{1} << hole);
+    }
+    inflight_.resize(live);
+
+    stateChangedLastTick_ = true;
+    if (now >= lastRelease_ + 32) {
+        releaseRetired();
+        lastRelease_ = now;
+    }
+}
+
+void
+Processor::retireOne(const InFlight &f)
+{
+    ctxs_[f.ctx].noteRetired();
+    ++retiredTotal_;
+    for (auto &entry : appRetired_) {
+        if (entry.first == f.appId) {
+            ++entry.second;
+            return;
         }
     }
+    appRetired_.emplace_back(f.appId, 1);
 }
 
 void

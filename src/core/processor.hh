@@ -327,6 +327,8 @@ class Processor
 
     void processMissEvents(Cycle now);
     void retireDue(Cycle now);
+    /** Count one retirement of @p f (retireDue's per-entry work). */
+    void retireOne(const InFlight &f);
     /** Owner selection + issue for one of the cycle's slots. */
     void tickSlot(Cycle now);
     void releaseRetired();

@@ -1,4 +1,4 @@
-#include "isa/latency.hh"
+#include "isa/op.hh"
 
 namespace mtsim {
 
@@ -26,58 +26,6 @@ opName(Op op)
       case Op::Nop:       return "nop";
       default:            return "?";
     }
-}
-
-FuKind
-fuKind(Op op)
-{
-    switch (op) {
-      case Op::IntMul:
-      case Op::IntDiv:
-        return FuKind::IntMulDiv;
-      case Op::FpDiv:
-        return FuKind::FpDiv;
-      default:
-        return FuKind::None;
-    }
-}
-
-std::uint32_t
-issueInterval(const LatencyParams &lat, const MicroOp &op)
-{
-    switch (op.op) {
-      case Op::Shift:  return lat.shiftIssue;
-      case Op::IntMul: return lat.intMulIssue;
-      case Op::IntDiv: return lat.intDivIssue;
-      case Op::Load:   return lat.loadIssue;
-      case Op::FpAdd:
-      case Op::FpMul:  return lat.fpAddIssue;
-      case Op::FpDiv:
-        return op.singlePrec ? lat.fpDivSpIssue : lat.fpDivIssue;
-      default:         return lat.intAluIssue;
-    }
-}
-
-std::uint32_t
-resultLatency(const LatencyParams &lat, const MicroOp &op)
-{
-    switch (op.op) {
-      case Op::Shift:  return lat.shiftLat;
-      case Op::IntMul: return lat.intMulLat;
-      case Op::IntDiv: return lat.intDivLat;
-      case Op::Load:   return lat.loadLat;
-      case Op::FpAdd:
-      case Op::FpMul:  return lat.fpAddLat;
-      case Op::FpDiv:
-        return op.singlePrec ? lat.fpDivSpLat : lat.fpDivLat;
-      default:         return lat.intAluLat;
-    }
-}
-
-std::uint32_t
-pipeDepth(const Config &cfg, Op op)
-{
-    return isFp(op) ? cfg.fpPipeDepth : cfg.intPipeDepth;
 }
 
 } // namespace mtsim

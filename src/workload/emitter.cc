@@ -1,6 +1,8 @@
 #include "workload/emitter.hh"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <stdexcept>
 
 #include "isa/latency.hh"
@@ -26,13 +28,15 @@ namespace detail {
  * latencies are non-negative). The probe digests pin this.
  *
  * One instance lives for the Emitter's lifetime and is reused for
- * every block: the edge lists, priority array, and output buffer keep
- * their capacity across run() calls, so steady-state emission does
- * not touch the allocator.
+ * every block. The edges are one 64-bit successor and predecessor
+ * mask per op, so building, prioritising and scheduling a block walk
+ * set bits; the output buffer and the per-address list keep their
+ * capacity across run() calls, so steady-state emission does not
+ * touch the allocator.
  */
 class BlockScheduler
 {
-    // Readiness and reader sets are tracked as one bit per block op.
+    // Edges, readiness and reader sets are one bit per block op.
     static_assert(Emitter::kMaxBlockOps <= 64,
                   "block bitmasks are 64 bits wide");
 
@@ -43,7 +47,6 @@ class BlockScheduler
         // tables only need one whole-array initialisation ever.
         lastWriter_.fill(-1);
         readers_.fill(0);
-        predsMask_.fill(0);
     }
 
     void
@@ -58,11 +61,9 @@ class BlockScheduler
 
         out_.clear();
         out_.reserve(n);
-        predsLeft_.resize(n);
         std::uint64_t ready = 0;
         for (std::size_t i = 0; i < n; ++i) {
-            predsLeft_[i] = static_cast<int>(preds_[i].size());
-            if (predsLeft_[i] == 0)
+            if (preds_[i] == 0)
                 ready |= std::uint64_t{1} << i;
         }
 
@@ -73,20 +74,25 @@ class BlockScheduler
             // index, exactly like the original full scan).
             std::uint64_t m = ready;
             std::size_t best =
-                static_cast<std::size_t>(__builtin_ctzll(m));
+                static_cast<std::size_t>(std::countr_zero(m));
             m &= m - 1;
             while (m != 0) {
                 const auto i =
-                    static_cast<std::size_t>(__builtin_ctzll(m));
+                    static_cast<std::size_t>(std::countr_zero(m));
                 m &= m - 1;
                 if (prio_[i] > prio_[best])
                     best = i;
             }
-            ready &= ~(std::uint64_t{1} << best);
+            const std::uint64_t best_bit = std::uint64_t{1} << best;
+            ready &= ~best_bit;
             out_.push_back(ops[best]);
-            for (std::size_t succ : succs_[best]) {
-                if (--predsLeft_[succ] == 0)
-                    ready |= std::uint64_t{1} << succ;
+            // A successor is ready once its last predecessor leaves.
+            for (std::uint64_t s = succs_[best]; s != 0; s &= s - 1) {
+                const auto j =
+                    static_cast<std::size_t>(std::countr_zero(s));
+                preds_[j] &= ~best_bit;
+                if (preds_[j] == 0)
+                    ready |= std::uint64_t{1} << j;
             }
         }
         // Buffer ping-pong: ops gets the scheduled block, out_ keeps
@@ -99,48 +105,32 @@ class BlockScheduler
     buildEdges(const std::vector<MicroOp> &ops)
     {
         const std::size_t n = ops.size();
-        if (succs_.size() < n) {
-            succs_.resize(n);
-            preds_.resize(n);
-        }
-        for (std::size_t i = 0; i < n; ++i) {
-            succs_[i].clear();
-            preds_[i].clear();
-            predsMask_[i] = 0;
-        }
+        std::fill_n(succs_.begin(), n, 0);
+        std::fill_n(preds_.begin(), n, 0);
         mems_.clear();
 
         for (std::size_t j = 0; j < n; ++j) {
             const MicroOp &b = ops[j];
             const std::uint64_t jbit = std::uint64_t{1} << j;
-            auto dep = [&](std::size_t i) {
-                const std::uint64_t ibit = std::uint64_t{1} << i;
-                if ((predsMask_[j] & ibit) != 0)
-                    return;
-                predsMask_[j] |= ibit;
-                succs_[i].push_back(j);
-                preds_[j].push_back(i);
-            };
+            // Edges i -> j for every i in mask (all earlier than j).
             auto depMask = [&](std::uint64_t mask) {
-                while (mask != 0) {
-                    dep(static_cast<std::size_t>(
-                        __builtin_ctzll(mask)));
-                    mask &= mask - 1;
-                }
+                preds_[j] |= mask;
+                for (; mask != 0; mask &= mask - 1)
+                    succs_[std::countr_zero(mask)] |= jbit;
+            };
+            auto dep = [&](std::int8_t i) {
+                if (i >= 0)
+                    depMask(std::uint64_t{1} << i);
             };
 
             // RAW: depend on the last writer of each source; every
             // earlier writer is reached through its WAW chain.
             if (b.src1 != kNoReg) {
-                if (lastWriter_[b.src1] >= 0)
-                    dep(static_cast<std::size_t>(
-                        lastWriter_[b.src1]));
+                dep(lastWriter_[b.src1]);
                 readers_[b.src1] |= jbit;
             }
             if (b.src2 != kNoReg) {
-                if (lastWriter_[b.src2] >= 0)
-                    dep(static_cast<std::size_t>(
-                        lastWriter_[b.src2]));
+                dep(lastWriter_[b.src2]);
                 readers_[b.src2] |= jbit;
             }
 
@@ -159,8 +149,7 @@ class BlockScheduler
                     mems_.push_back(MemEntry{b.addr, -1, 0});
                     e = &mems_.back();
                 }
-                if (e->lastStore >= 0)
-                    dep(static_cast<std::size_t>(e->lastStore));
+                dep(e->lastStore);
                 if (isStore(b.op)) {
                     depMask(e->loads);
                     e->lastStore = static_cast<std::int8_t>(j);
@@ -174,9 +163,7 @@ class BlockScheduler
             // self-read of the destination) and WAW on the dest.
             if (b.dst != kNoReg) {
                 depMask(readers_[b.dst] & ~jbit);
-                if (lastWriter_[b.dst] >= 0)
-                    dep(static_cast<std::size_t>(
-                        lastWriter_[b.dst]));
+                dep(lastWriter_[b.dst]);
                 lastWriter_[b.dst] = static_cast<std::int8_t>(j);
                 readers_[b.dst] = 0;
             }
@@ -202,12 +189,12 @@ class BlockScheduler
     computePriorities(const std::vector<MicroOp> &ops)
     {
         static const LatencyParams lat;
-        const std::size_t n = ops.size();
-        prio_.assign(n, 0);
-        for (std::size_t ii = n; ii-- > 0;) {
+        // Successors come later in the block, so a backward pass sees
+        // each one's priority before its predecessors need it.
+        for (std::size_t ii = ops.size(); ii-- > 0;) {
             std::uint32_t best_succ = 0;
-            for (std::size_t s : succs_[ii])
-                best_succ = std::max(best_succ, prio_[s]);
+            for (std::uint64_t s = succs_[ii]; s != 0; s &= s - 1)
+                best_succ = std::max(best_succ, prio_[std::countr_zero(s)]);
             prio_[ii] = best_succ + resultLatency(lat, ops[ii]);
         }
     }
@@ -220,17 +207,19 @@ class BlockScheduler
         std::uint64_t loads;   ///< loads since that store (bitmask)
     };
 
-    std::vector<std::vector<std::size_t>> succs_;
-    std::vector<std::vector<std::size_t>> preds_;
-    std::vector<std::uint32_t> prio_;
+    using OpMasks = std::array<std::uint64_t, Emitter::kMaxBlockOps>;
+    /** Direct successors of each op (bit j: an edge to op j). */
+    OpMasks succs_;
+    /** Direct predecessors of each op; run() clears each bit as
+     *  that predecessor is scheduled. */
+    OpMasks preds_;
+    /** Longest latency path from each op to the block's end. */
+    std::array<std::uint32_t, Emitter::kMaxBlockOps> prio_;
     std::vector<MicroOp> out_;
-    std::vector<int> predsLeft_;
     /** Index of the last op writing each register, -1 if none. */
     std::array<std::int8_t, 256> lastWriter_;
     /** Ops reading each register since its last write (bitmask). */
     std::array<std::uint64_t, 256> readers_;
-    /** Direct predecessors of each op (dedup for edge insertion). */
-    std::array<std::uint64_t, Emitter::kMaxBlockOps> predsMask_;
     std::vector<MemEntry> mems_;
 };
 

@@ -26,7 +26,8 @@ class InstrSource
     virtual ~InstrSource() = default;
 
     /**
-     * Produce the next micro-op in program order.
+     * Produce the next micro-op in program order, overwriting all of
+     * @p op (the caller may pass a slot holding an older op).
      * @return false when the program has terminated.
      */
     virtual bool next(MicroOp &op) = 0;

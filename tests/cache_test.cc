@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "cache/cache.hh"
 #include "cache/icache.hh"
 #include "cache/mshr.hh"
@@ -221,6 +224,96 @@ TEST(Tlb, ClearForgets)
     t.clear();
     EXPECT_FALSE(t.present(0x1000));
     EXPECT_EQ(t.access(0x1000), 25u);
+}
+
+/** Linear-scan FIFO TLB: what Tlb must behave like. */
+class ReferenceTlb
+{
+  public:
+    explicit ReferenceTlb(const TlbParams &p) : p_(p) {}
+
+    std::uint32_t
+    access(Addr a)
+    {
+        if (present(a)) {
+            ++hits_;
+            return 0;
+        }
+        ++misses_;
+        if (fifo_.size() == p_.entries)
+            fifo_.erase(fifo_.begin());
+        fifo_.push_back(a / p_.pageBytes);
+        return p_.missPenalty;
+    }
+
+    bool
+    present(Addr a) const
+    {
+        return std::find(fifo_.begin(), fifo_.end(), a / p_.pageBytes) !=
+               fifo_.end();
+    }
+
+    void clear() { fifo_.clear(); }
+    std::uint64_t hits() const { return hits_; }
+    std::uint64_t misses() const { return misses_; }
+
+  private:
+    TlbParams p_;
+    std::vector<Addr> fifo_;
+    std::uint64_t hits_ = 0;
+    std::uint64_t misses_ = 0;
+};
+
+TEST(Tlb, MatchesLinearScanFifoOnRandomStreams)
+{
+    const TlbParams shapes[] = {{48, 4096, 20}, {64, 4096, 25}};
+    for (const TlbParams &p : shapes) {
+        for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+            Rng rng(seed * 7919 + p.entries);
+            // A pool about twice the TLB's reach keeps it evicting;
+            // half the pool is dense, half scattered over 52 bits.
+            std::vector<Addr> pool;
+            for (std::uint32_t i = 0; i < p.entries; ++i)
+                pool.push_back(0x4000 + i);
+            for (std::uint32_t i = 0; i < p.entries + 16; ++i)
+                pool.push_back(rng.next() >> 12);
+            Tlb t(p);
+            ReferenceTlb ref(p);
+            Addr last = 0;
+            for (int step = 0; step < 20000; ++step) {
+                if (step == 10000) {
+                    t.clear();
+                    ref.clear();
+                }
+                Addr a;
+                if (step > 0 && rng.chance(0.3)) {
+                    // Same page again, another offset.
+                    a = (last & ~Addr(p.pageBytes - 1)) |
+                        rng.range(p.pageBytes);
+                } else {
+                    a = pool[rng.range(pool.size())] * p.pageBytes +
+                        rng.range(p.pageBytes);
+                }
+                last = a;
+                ASSERT_EQ(t.access(a), ref.access(a))
+                    << "entries " << p.entries << " seed " << seed
+                    << " step " << step;
+                const Addr probe =
+                    pool[rng.range(pool.size())] * p.pageBytes;
+                ASSERT_EQ(t.present(probe), ref.present(probe))
+                    << "entries " << p.entries << " seed " << seed
+                    << " step " << step;
+                ASSERT_TRUE(t.present(a));
+            }
+            EXPECT_EQ(t.hits(), ref.hits());
+            EXPECT_EQ(t.misses(), ref.misses());
+            EXPECT_GT(t.misses(), 2000u);  // evictions were exercised
+            std::size_t resident = 0;
+            for (Addr page : pool)
+                resident += t.present(page * p.pageBytes);
+            EXPECT_EQ(resident, p.entries);
+        }
+    }
 }
 
 // ---- ICache ----------------------------------------------------------------

@@ -324,6 +324,11 @@ INSTANTIATE_TEST_SUITE_P(
                       [](Config &c) { c.sw.missDetectStage = 9; }},
         BadConfigCase{"branch resolve beyond pipe",
                       [](Config &c) { c.branchResolveStage = 8; }},
+        BadConfigCase{"over 64 ops in flight",
+                      [](Config &c) {
+                          c.issueWidth = 2;
+                          c.fpPipeDepth = 33;
+                      }},
         BadConfigCase{"non-pow2 cache",
                       [](Config &c) { c.l1d.sizeBytes = 60000; }},
         BadConfigCase{"zero line",
@@ -349,6 +354,15 @@ INSTANTIATE_TEST_SUITE_P(
                 ch = '_';
         return n;
     });
+
+TEST(Config, SixtyFourOpsInFlightAreAccepted)
+{
+    // The widest in-flight set the retire mask holds.
+    Config c;
+    c.issueWidth = 2;
+    c.fpPipeDepth = 32;
+    EXPECT_NO_THROW(c.validate());
+}
 
 TEST(Config, MakePresets)
 {

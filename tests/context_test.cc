@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests of the per-context fetch/replay machinery (the EPC restart
- * semantics) and availability tracking.
+ * semantics, the window ring's growth) and availability tracking.
  */
 
 #include <gtest/gtest.h>
@@ -129,6 +129,84 @@ TEST(ThreadContext, ReloadResetsState)
     ASSERT_TRUE(ctx.peek(op));
     // Sequence numbers stay monotonic across reloads.
     EXPECT_GE(op.seq, 1u);
+}
+
+/** @p n ops whose addr field names their index in the stream. */
+std::vector<MicroOp>
+numberedOps(std::size_t n, Addr base)
+{
+    std::vector<MicroOp> ops;
+    for (std::size_t i = 0; i < n; ++i) {
+        MicroOp op = mkOp(Op::IntAlu, static_cast<RegId>(8 + i % 24));
+        op.addr = base + i;
+        ops.push_back(op);
+    }
+    return ops;
+}
+
+/** Peek and consume one op, checking it is stream op @p i. */
+void
+expectNext(ThreadContext &ctx, SeqNum seq, Addr addr)
+{
+    MicroOp op;
+    ASSERT_TRUE(ctx.peek(op));
+    EXPECT_EQ(op.seq, seq);
+    EXPECT_EQ(op.addr, addr);
+    ctx.consume();
+}
+
+TEST(ThreadContext, WindowGrowsKeepingRollbackTarget)
+{
+    constexpr std::size_t cap = ThreadContext::kInitialWindow;
+    VectorSource src(numberedOps(4 * cap, 1000));
+    ThreadContext ctx(0);
+    ctx.loadThread(&src, 1);
+    // Fill the first ring, release its older half, and refill past
+    // the end, so the window wraps inside the first ring.
+    for (SeqNum s = 0; s < cap; ++s)
+        expectNext(ctx, s, 1000 + s);
+    ctx.retireUpTo(cap / 2 - 1);
+    for (SeqNum s = cap; s < cap + cap / 2; ++s)
+        expectNext(ctx, s, 1000 + s);
+    ASSERT_EQ(ctx.windowSize(), cap);
+    // The rollback target sits in the wrapped first ring; the next
+    // fetches outgrow it twice over.
+    const SeqNum target = cap / 2 + 3;
+    for (SeqNum s = cap + cap / 2; s < 3 * cap; ++s)
+        expectNext(ctx, s, 1000 + s);
+    EXPECT_EQ(ctx.windowSize(), 3 * cap - cap / 2);
+    ctx.rollbackTo(target);
+    EXPECT_EQ(ctx.nextIssueSeq(), target);
+    for (SeqNum s = target; s < 4 * cap; ++s)
+        expectNext(ctx, s, 1000 + s);
+    MicroOp op;
+    EXPECT_FALSE(ctx.peek(op));
+    EXPECT_TRUE(ctx.finished());
+}
+
+TEST(ThreadContext, ReloadAfterGrowthStartsAnEmptyWindow)
+{
+    constexpr std::size_t cap = ThreadContext::kInitialWindow;
+    VectorSource a(numberedOps(3 * cap, 1000));
+    VectorSource b(numberedOps(3 * cap, 5000));
+    ThreadContext ctx(0);
+    ctx.loadThread(&a, 1);
+    for (SeqNum s = 0; s < 2 * cap + 5; ++s)
+        expectNext(ctx, s, 1000 + s);
+    ctx.loadThread(&b, 2);
+    EXPECT_EQ(ctx.windowSize(), 0u);
+    EXPECT_EQ(ctx.nextIssueSeq(), 2 * cap + 5);
+    // Thread b fills the grown ring from a wrapped starting slot and
+    // replays from its first op.
+    const SeqNum first = 2 * cap + 5;
+    for (SeqNum k = 0; k < 3 * cap; ++k)
+        expectNext(ctx, first + k, 5000 + k);
+    ctx.rollbackTo(first);
+    for (SeqNum k = 0; k < 3 * cap; ++k)
+        expectNext(ctx, first + k, 5000 + k);
+    MicroOp op;
+    EXPECT_FALSE(ctx.peek(op));
+    EXPECT_TRUE(ctx.finished());
 }
 
 // ---- issue policy helpers ------------------------------------------------

@@ -249,10 +249,10 @@ TEST_F(ProfilerTest, CanonicalRunsStayWithinTheirAllocationBudget)
         std::uint64_t recorded;
     };
     const Budget budgets[] = {
-        {"uni/interleaved/1ctx/R0", false, 1, 12550},
-        {"uni/interleaved/4ctx/R0", false, 4, 25049},
-        {"mp/interleaved/1ctx/water/8p", true, 1, 48961},
-        {"mp/interleaved/4ctx/water/8p", true, 4, 54973},
+        {"uni/interleaved/1ctx/R0", false, 1, 167},
+        {"uni/interleaved/4ctx/R0", false, 4, 199},
+        {"mp/interleaved/1ctx/water/8p", true, 1, 23080},
+        {"mp/interleaved/4ctx/water/8p", true, 4, 27772},
     };
     for (const Budget &b : budgets) {
         const std::uint64_t allocs = allocsOfCanonicalRun(b.mp, b.contexts);

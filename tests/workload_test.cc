@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the workload framework: Emitter PC discipline, the
- * Twine-like block scheduler (dependences preserved, loads hoisted),
+ * Twine-like block scheduler (dependences preserved, loads hoisted,
+ * random blocks against an all-pairs reference scheduler),
  * register management, coroutine streaming through ThreadSource's
  * refills, and the synthetic workload generator.
  */
@@ -13,6 +14,8 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.hh"
+#include "isa/latency.hh"
 #include "spec/spec_suite.hh"
 #include "splash/splash_suite.hh"
 #include "workload/emitter.hh"
@@ -196,34 +199,67 @@ TEST(Emitter, BackoffCarriesCycles)
 
 // ---- block scheduler -----------------------------------------------------
 
-/** Verify every register/memory dependence still points backwards. */
-void
-expectDependencesPreserved(const std::vector<MicroOp> &ops)
+/**
+ * True when @p later must stay after @p earlier: a register RAW, WAR
+ * or WAW pair, or a same-address load/store pair with a store in it.
+ */
+bool
+mustStayOrdered(const MicroOp &earlier, const MicroOp &later)
 {
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-        for (std::size_t j = i + 1; j < ops.size(); ++j) {
-            // If j's result is read by an op before i... we check
-            // the simpler invariant: no op reads a register whose
-            // producing write appears later in the stream without an
-            // earlier write.
-            (void)j;
-        }
+    auto reads = [](const MicroOp &op, RegId r) {
+        return r != kNoReg && (op.src1 == r || op.src2 == r);
+    };
+    if (earlier.dst != kNoReg &&
+        (reads(later, earlier.dst) || later.dst == earlier.dst))
+        return true;
+    if (reads(earlier, later.dst))
+        return true;
+    auto mem = [](const MicroOp &op) {
+        return isLoad(op.op) || isStore(op.op);
+    };
+    return mem(earlier) && mem(later) && earlier.addr == later.addr &&
+           (isStore(earlier.op) || isStore(later.op));
+}
+
+/** Same instruction, ignoring the pc the emitter assigns last. */
+bool
+sameInstruction(const MicroOp &a, const MicroOp &b)
+{
+    return a.op == b.op && a.dst == b.dst && a.src1 == b.src1 &&
+           a.src2 == b.src2 && a.addr == b.addr &&
+           a.singlePrec == b.singlePrec;
+}
+
+/**
+ * Verify @p scheduled is a reordering of @p program (the same kernel
+ * emitted unscheduled) that keeps every pair mustStayOrdered names in
+ * program order. Identical instructions are matched in turn; they
+ * have identical dependences, so the matching cannot hide a swap.
+ */
+void
+expectDependencesPreserved(const std::vector<MicroOp> &program,
+                           const std::vector<MicroOp> &scheduled)
+{
+    ASSERT_EQ(program.size(), scheduled.size());
+    const std::size_t n = program.size();
+    std::vector<std::size_t> pos(n, n);  // program index -> slot
+    for (std::size_t slot = 0; slot < n; ++slot) {
+        std::size_t i = 0;
+        while (i < n && (pos[i] != n ||
+                         !sameInstruction(program[i], scheduled[slot])))
+            ++i;
+        ASSERT_LT(i, n) << "scheduled op " << slot
+                        << " is not in the program";
+        pos[i] = slot;
     }
-    // Direct check: simulate register "last writer" and ensure every
-    // read has its producer at or before it (given the generator
-    // only reads values it previously produced).
-    std::set<RegId> written;
-    for (const auto &op : ops) {
-        auto check = [&](RegId r) {
-            if (r != kNoReg && r >= 8) {
-                EXPECT_TRUE(written.count(r))
-                    << "read before write after scheduling";
+    for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = i + 1; j < n; ++j) {
+            if (mustStayOrdered(program[i], program[j])) {
+                EXPECT_LT(pos[i], pos[j])
+                    << "program ops " << i << " and " << j
+                    << " swapped by the scheduler";
             }
-        };
-        check(op.src1);
-        check(op.src2);
-        if (op.dst != kNoReg)
-            written.insert(op.dst);
+        }
     }
 }
 
@@ -243,7 +279,8 @@ TEST(BlockScheduler, PreservesDependences)
     ThreadSource src(0, 0x100000, 1, kernel, true);
     auto ops = drain(src, 100);
     ASSERT_EQ(ops.size(), 24u);
-    expectDependencesPreserved(ops);
+    ThreadSource unscheduled(0, 0x100000, 1, kernel, false);
+    expectDependencesPreserved(drain(unscheduled, 100), ops);
     // Same-address load stays after the store.
     for (std::size_t i = 0; i < ops.size(); ++i) {
         if (isStore(ops[i].op)) {
@@ -254,6 +291,106 @@ TEST(BlockScheduler, PreservesDependences)
                 }
             }
         }
+    }
+}
+
+/**
+ * The schedule the Emitter's scheduler must produce, from the
+ * all-pairs dependence graph: list scheduling by longest latency path
+ * to the block's end, ties to the earliest op.
+ */
+std::vector<MicroOp>
+referenceSchedule(const std::vector<MicroOp> &ops)
+{
+    const std::size_t n = ops.size();
+    if (n < 2)
+        return ops;
+    const LatencyParams lat;
+    std::vector<std::uint32_t> prio(n, 0);
+    for (std::size_t i = n; i-- > 0;) {
+        std::uint32_t best_succ = 0;
+        for (std::size_t j = i + 1; j < n; ++j) {
+            if (mustStayOrdered(ops[i], ops[j]))
+                best_succ = std::max(best_succ, prio[j]);
+        }
+        prio[i] = best_succ + resultLatency(lat, ops[i]);
+    }
+    std::vector<bool> done(n, false);
+    std::vector<MicroOp> out;
+    while (out.size() < n) {
+        std::size_t best = n;
+        for (std::size_t j = 0; j < n; ++j) {
+            bool ready = !done[j];
+            for (std::size_t i = 0; ready && i < j; ++i)
+                ready = done[i] || !mustStayOrdered(ops[i], ops[j]);
+            if (ready && (best == n || prio[j] > prio[best]))
+                best = j;
+        }
+        done[best] = true;
+        out.push_back(ops[best]);
+    }
+    return out;
+}
+
+/** Emit one random block of @p n ops: rotating and pinned register
+ *  reuse, dependent sources, and loads and stores over four
+ *  addresses so same-address chains form. */
+void
+emitRandomBlock(Emitter &e, Rng &rng, std::size_t n, RegId ipin,
+                RegId fpin)
+{
+    std::vector<RegId> ints{ipin}, fps{fpin};
+    auto pick = [&](const std::vector<RegId> &regs) {
+        return rng.chance(0.2) ? kNoReg : regs[rng.range(regs.size())];
+    };
+    auto addr = [&] { return 0x1000 + 8 * rng.range(4); };
+    for (std::size_t k = 0; k < n; ++k) {
+        switch (rng.range(13)) {
+          case 0: ints.push_back(e.iop(pick(ints), pick(ints))); break;
+          case 1: ints.push_back(e.ishift(pick(ints))); break;
+          case 2: ints.push_back(e.imul(pick(ints), pick(ints))); break;
+          case 3: ints.push_back(e.idiv(pick(ints), pick(ints))); break;
+          case 4: fps.push_back(e.fadd(pick(fps), pick(fps))); break;
+          case 5: fps.push_back(e.fmul(pick(fps), pick(fps))); break;
+          case 6:
+            fps.push_back(e.fdiv(pick(fps), pick(fps), rng.chance(0.5)));
+            break;
+          case 7: ints.push_back(e.load(addr(), pick(ints))); break;
+          case 8: fps.push_back(e.fload(addr())); break;
+          case 9: e.store(addr(), pick(rng.chance(0.5) ? ints : fps)); break;
+          case 10: e.prefetch(addr()); break;
+          case 11: e.iopInto(ipin, pick(ints), pick(ints)); break;
+          default: e.loadInto(ipin, addr()); break;
+        }
+    }
+}
+
+TEST(BlockScheduler, MatchesAllPairsListSchedulerOnRandomBlocks)
+{
+    // One emitter pair for every block, so scheduler state left over
+    // from one block would show in the next.
+    Emitter scheduled(0, 0x100000, 1, true);
+    Emitter program(0, 0x100000, 1, false);
+    const RegId ipin = scheduled.ipin(), fpin = scheduled.fpin();
+    ASSERT_EQ(program.ipin(), ipin);
+    ASSERT_EQ(program.fpin(), fpin);
+    Rng sizes(17);
+    for (int block = 0; block < 400; ++block) {
+        const std::size_t n = 2 + sizes.range(Emitter::kMaxBlockOps - 1);
+        Rng a(1000 + block), b(1000 + block);
+        emitRandomBlock(scheduled, a, n, ipin, fpin);
+        emitRandomBlock(program, b, n, ipin, fpin);
+        scheduled.pause();
+        program.pause();
+        const std::vector<MicroOp> want = referenceSchedule(program.out());
+        const std::vector<MicroOp> &got = scheduled.out();
+        ASSERT_EQ(got.size(), n);
+        for (std::size_t k = 0; k < n; ++k) {
+            ASSERT_TRUE(sameInstruction(got[k], want[k]))
+                << "block " << block << " (" << n << " ops), slot " << k;
+        }
+        scheduled.out().clear();
+        program.out().clear();
     }
 }
 
