@@ -14,6 +14,7 @@
 #define MTSIM_COHERENCE_MP_MEM_SYSTEM_HH
 
 #include <array>
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -42,20 +43,33 @@ class MpMemSystem : public MemSystem
     void tick(Cycle now) override;
 
     /**
-     * Earliest cycle at which tick() would do any work (event
-     * callback or any node's MSHR retirement). tick(now) with now
-     * strictly before this is a provable no-op, so the per-cycle
-     * driver can skip the call. Conservative-low only.
+     * Earliest cycle at which tick() would do any work. tick(now)
+     * with now strictly before this is a provable no-op, so the
+     * per-cycle driver can skip the call. It is the event heap's top
+     * alone: every MSHR allocation is paired with a fill event at its
+     * completion cycle, and tick runs events before it retires MSHRs,
+     * so no node's MSHR completes before the heap's top.
      */
     Cycle
     nextTickAt() const
     {
-        Cycle next = events_.nextEventCycle();
+        assert(fillsCoverMshrs());
+        return events_.nextEventCycle();
+    }
+
+    /** True when no node's next MSHR completion precedes the event
+     *  heap's top (nextTickAt's premise; a sharded run keeps its
+     *  fills in the node queues instead). */
+    bool
+    fillsCoverMshrs() const
+    {
+        if (cohMail_ != nullptr)
+            return true;
         for (const auto &node : nodes_) {
-            if (node->mshrs->nextDoneAt() < next)
-                next = node->mshrs->nextDoneAt();
+            if (node->mshrs->nextDoneAt() < events_.nextEventCycle())
+                return false;
         }
-        return next;
+        return true;
     }
 
     LoadResult load(ProcId p, Addr a, Cycle now) override;

@@ -14,7 +14,8 @@ void
 EventQueue::runUntil(Cycle now)
 {
     while (!heap_.empty() && heap_.top().when <= now) {
-        // Copy out before pop so the callback may schedule new events.
+        // Copy out before pop so the callback may schedule new events
+        // (EventFn is trivially copyable: the copy allocates nothing).
         Entry e = heap_.top();
         heap_.pop();
         e.fn(e.when);

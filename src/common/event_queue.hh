@@ -9,17 +9,49 @@
 #ifndef MTSIM_COMMON_EVENT_QUEUE_HH
 #define MTSIM_COMMON_EVENT_QUEUE_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
+#include <new>
 #include <queue>
+#include <type_traits>
 #include <vector>
 
 #include "common/types.hh"
 
 namespace mtsim {
 
-/** Callback fired when an event's cycle is reached. */
-using EventFn = std::function<void(Cycle)>;
+/**
+ * Callback fired when an event's cycle is reached. It holds its
+ * callable inline, so scheduling, copying and running an event never
+ * allocate: the callable must be trivially copyable (a lambda that
+ * captures pointers and values) and fit in kCaptureBytes.
+ */
+class EventFn
+{
+  public:
+    static constexpr std::size_t kCaptureBytes = 32;
+
+    template <class F>
+        requires std::is_invocable_v<const F &, Cycle>
+    EventFn(F f) // implicit, like std::function
+        : call_([](const void *fn, Cycle when) {
+              (*std::launder(static_cast<const F *>(fn)))(when);
+          })
+    {
+        static_assert(std::is_trivially_copyable_v<F>,
+                      "an event callback must be trivially copyable");
+        static_assert(sizeof(F) <= kCaptureBytes &&
+                          alignof(F) <= alignof(std::max_align_t),
+                      "an event callback's captures must fit inline");
+        ::new (static_cast<void *>(buf_)) F(f);
+    }
+
+    void operator()(Cycle when) const { call_(buf_, when); }
+
+  private:
+    alignas(std::max_align_t) unsigned char buf_[kCaptureBytes];
+    void (*call_)(const void *, Cycle);
+};
 
 /**
  * Min-heap of (cycle, sequence, callback). Ties are broken by

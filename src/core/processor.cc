@@ -458,15 +458,14 @@ Processor::planFastForward(Cycle now, Cycle limit,
     if (limit <= now + 1)
         return false;
 
-    // Global cap: no in-flight retirement or miss detection may fall
-    // inside the window (either mutates scoreboards, contexts or
-    // cursors mid-window). The caches are conservative-low, so a
-    // stale value can only shrink the window, never over-extend it;
-    // a miss event left due by a swap-with-back displacement keeps
-    // nextMissDetectAt_ <= now and correctly declines the plan.
+    // Global cap: no miss detection may fall inside the window (it
+    // squashes, switches and moves cursors). Retirements may: the
+    // sleep's settle replays them, and the sync fence below is the
+    // one issue decision they change. The cache is conservative-low,
+    // so a stale value can only shrink the window, never over-extend
+    // it; a miss event left due by a swap-with-back displacement
+    // keeps nextMissDetectAt_ <= now and correctly declines the plan.
     Cycle cap = limit;
-    if (nextRetireAt_ < cap)
-        cap = nextRetireAt_;
     if (nextMissDetectAt_ < cap)
         cap = nextMissDetectAt_;
     if (cap <= now + 1)
@@ -559,7 +558,7 @@ Processor::planFastForward(Cycle now, Cycle limit,
     // Only provable for a single-issue machine with exactly one
     // available context: then every skipped cycle selects the same
     // owner, whose selection is idempotent after the one rotation
-    // beginFastForward replays, and the stalled instruction's hazard
+    // sleepOn replays, and the stalled instruction's hazard
     // comparisons stay constant thanks to the breakpoint caps below.
     if (cfg_.issueWidth != 1 || availableCount(hot_, now) != 1)
         return false;
@@ -612,14 +611,17 @@ Processor::planFastForward(Cycle now, Cycle limit,
         return false;
 
     // Sync fence: holds while any of the owner's instructions is in
-    // flight, and none can retire before cap.
+    // flight, so it lifts in the cycle the last of them retires.
     if (isSync(op.op) && sync_) {
+        Cycle lift = 0;
         for (const InFlight &f : inflight_) {
-            if (f.ctx == static_cast<CtxId>(owner)) {
-                out.until = cap;
-                out.cls = CycleClass::Sync;
-                return out.until > now + 1;
-            }
+            if (f.ctx == static_cast<CtxId>(owner))
+                lift = std::max(lift, f.retireAt);
+        }
+        if (lift != 0) {
+            out.until = std::min(cap, lift);
+            out.cls = CycleClass::Sync;
+            return out.until > now + 1;
         }
     }
 
@@ -745,20 +747,27 @@ Processor::noteStallBatch(int c, const MicroOp &op, Cycle fu_free,
         if (x > now && x < until)
             until = x;
     };
-    // Events due inside the window would make a skipped tick do
-    // real work (retire, miss detection).
-    capAt(nextRetireAt_);
+    // A miss detected inside the window would squash or switch.
+    // Retirements due inside it only replay (settleSleep).
     capAt(nextMissDetectAt_);
-    // Another context available anywhere in the window could take
-    // over the slot (owner rotation) and issue; one available this
-    // very cycle (skip-blocked donation) declines outright.
-    const std::size_t n = hot_.size();
-    for (std::size_t i = 0; i < n; ++i) {
-        if (static_cast<int>(i) == c || hot_.runnable[i] == 0)
-            continue;
-        if (hot_.unavailUntil[i] <= now)
-            return;
-        capAt(hot_.unavailUntil[i]);
+    // Under single and blocked, @p c is the resident context and
+    // keeps the slot while it stays available (selectOwner's first
+    // branch), whatever the other contexts do. Nor can its switch
+    // hint turn on mid-window: issueFrom fires the hint whenever
+    // another thread exists, so a wait that qualifies for one reaches
+    // this stall path only when none does. Under interleaving, another
+    // context available anywhere in the window could take over the
+    // slot (owner rotation) and issue, and one available this very
+    // cycle (skip-blocked donation) declines outright.
+    if (cfg_.scheme != Scheme::Single && cfg_.scheme != Scheme::Blocked) {
+        const std::size_t n = hot_.size();
+        for (std::size_t i = 0; i < n; ++i) {
+            if (static_cast<int>(i) == c || hot_.runnable[i] == 0)
+                continue;
+            if (hot_.unavailUntil[i] <= now)
+                return;
+            capAt(hot_.unavailUntil[i]);
+        }
     }
     if (until <= now + 1)
         return;
@@ -779,17 +788,44 @@ Processor::noteStallBatch(int c, const MicroOp &op, Cycle fu_free,
     batch_ = {until, why};
 }
 
-void
+bool
 Processor::planSleep(Cycle now, Cycle limit)
 {
     FastForwardPlan plan;
     if (!planFastForward(now, limit, plan)) {
         armed_ = false;
-        return;
+        return false;
     }
+    sleepOn(now, plan);
+    return true;
+}
+
+void
+Processor::sleepOn(Cycle now, const FastForwardPlan &plan)
+{
     if (plan.needOwnerCommit)
-        beginFastForward(now);
+        (void)selectOwner(now);
     sleep_ = plan;
+    sleepFrom_ = now;
+}
+
+void
+Processor::replaySleep(Cycle through)
+{
+    // One retireDue per cycle with something due, never one over
+    // several cycles' retirements: its swap-remove then leaves
+    // inflight_ in the order the skipped ticks would have, and
+    // squashFrom emits its events in that order. Each call leaves
+    // nextRetireAt_ past t.
+    for (Cycle t = std::max(nextRetireAt_, sleepFrom_); t < through;
+         t = nextRetireAt_)
+        retireDue(t);
+    const Cycle n = through - sleepFrom_;
+    if (sleep_.attribute)
+        bd_.add(sleep_.cls, n * cfg_.issueWidth);
+    sleptCycles_ += n;
+    // A sync wake zeroes sleep_.until: nothing after through is owed.
+    sleepFrom_ = through < sleep_.until ? through : kCycleNever;
 }
 
 void

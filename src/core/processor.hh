@@ -25,6 +25,7 @@
 #define MTSIM_CORE_PROCESSOR_HH
 
 #include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -60,9 +61,12 @@ class Processor
     // ---- event-driven fast-forward ---------------------------------
     /**
      * A provable stall window [now, until): every cycle in it would
-     * tick as a pure stall, attributing issueWidth slots of `cls` and
-     * changing no other architectural or probe-visible state (apart
-     * from the one-time cursor rotation beginFastForward replays).
+     * tick as a pure stall, attributing issueWidth slots of `cls`.
+     * The only other state those ticks change is the retirement of
+     * in-flight ops coming due, which settleSleep replays, and the
+     * one-time cursor rotation sleepOn replays. Retirement changes no
+     * issue decision inside the window: the sync fence, the one
+     * decision it can change, caps the window where it lifts.
      */
     struct FastForwardPlan
     {
@@ -81,9 +85,10 @@ class Processor
      * @p limit (exclusive). Returns true and fills @p out when every
      * cycle in [now, out.until) provably ticks as a pure stall with
      * constant attribution. Declines (returns false) whenever any
-     * skipped cycle could mutate state: an instruction could issue, a
-     * fetch/miss/retire event falls inside the window, a switch hint
-     * would fire, or the stall classification could change mid-window.
+     * skipped cycle could mutate state other than by retiring: an
+     * instruction could issue, a fetch or miss event falls inside the
+     * window, a switch hint would fire, or the stall classification
+     * could change mid-window.
      *
      * Mutates nothing except via ThreadContext::peek, whose fetch
      * buffering is transparent: the skipped lockstep cycles would
@@ -93,31 +98,25 @@ class Processor
                          FastForwardPlan &out);
 
     /**
-     * Commit a planned window: replay the owner-selection cursor
-     * rotation the first skipped cycle's tickSlot would have
-     * performed (idempotent for the remaining window cycles because
-     * exactly one context is available, or none).
+     * Sleep through [now, plan.until) on a granted plan. Replays the
+     * owner-selection cursor rotation the first slept cycle's
+     * tickSlot would have performed (idempotent for the remaining
+     * cycles because exactly one context is available, or none).
+     * settleSleep accounts for the slept cycles.
      */
-    void beginFastForward(Cycle now) { (void)selectOwner(now); }
-
-    /** Attribute @p n skipped cycles (issueWidth slots each). */
-    void
-    addSkippedCycles(CycleClass cls, Cycle n)
-    {
-        bd_.add(cls, static_cast<std::uint64_t>(n) * cfg_.issueWidth);
-    }
+    void sleepOn(Cycle now, const FastForwardPlan &plan);
 
     // ---- node sleep (UniSystem and MpSystem run loops) --------------
     /**
      * This node's turn in cycle @p now, after memory (and on the
      * workstation the OS scheduler) ticked @p now and nodes
-     * 0..id()-1 took their turns. No sleep reaches past @p limit.
-     *  - Awake and armed, with no issue and no short-stall hint last
-     *    tick, it plans a sleep through [now, until). A declined plan
-     *    disarms it until a tick changes planner-visible state
+     * 0..id()-1 took their turns. The run loops skip a node while it
+     * sleeps, so a turn first settles the sleep that just ended. No
+     * sleep reaches past @p limit.
+     *  - Armed, with no issue and no short-stall hint last tick, it
+     *    plans a sleep through [now, until). A declined plan disarms
+     *    it until a tick changes planner-visible state
      *    (stateChangedLastTick) or the system calls rearm().
-     *  - Asleep, it attributes one cycle as its sleep's plan says
-     *    instead of ticking.
      *  - Otherwise it ticks. A RAW-stall batch that tick recorded
      *    becomes a sleep from now + 1, and disarms the node: the batch
      *    usually ends at the stalled op's issue cycle, where a plan
@@ -128,24 +127,42 @@ class Processor
     void
     turn(Cycle now, Cycle limit)
     {
-        if (armed_ && sleep_.until <= now && !issuedLastTick_ &&
-            !shortStallHint_)
-            planSleep(now, limit);
-        if (sleep_.until > now) {
-            sleepCycles(1);
+        assert(!asleep(now));
+        settleSleep(now);
+        if (armed_ && !issuedLastTick_ && !shortStallHint_ &&
+            planSleep(now, limit))
             return;
-        }
         tick(now);
         if (stateChangedLastTick_)
             armed_ = true;
         if (batch_.until != 0) {
             const Cycle until = std::min(batch_.until, limit);
             if (until > now + 1) {
-                sleep_ = {until, batch_.cls};
+                sleepOn(now + 1, {until, batch_.cls});
                 batchedCycles_ += until - (now + 1);
                 armed_ = false;
             }
         }
+    }
+
+    /**
+     * Account for the slept cycles before @p through: run
+     * retireDue(t) once for each cycle t in which an in-flight op
+     * comes due, in cycle order, exactly as the skipped ticks would
+     * have, then attribute the cycles as the sleep's plan says. A
+     * no-op while nothing is owed (at @p through == the first owed
+     * cycle it only ends a sleep a wake cut short, such as a batch
+     * woken before it began). @p through must not pass the node's
+     * next turn. Called at that turn, and by whoever reads
+     * the node's state before it: the stats clear, the workstation's
+     * OS scheduler, the end of a run, and every cycle's end (and
+     * clock jump) while a cycle-exact observer is attached.
+     */
+    void
+    settleSleep(Cycle through)
+    {
+        if (through >= sleepFrom_)
+            replaySleep(through);
     }
 
     /** Let the next turn plan again (the workstation calls this when
@@ -155,17 +172,8 @@ class Processor
     bool asleep(Cycle now) const { return sleep_.until > now; }
     const FastForwardPlan &sleepPlan() const { return sleep_; }
 
-    /** Attribute @p n slept cycles as the sleep's plan says (the
-     *  clock jump calls this for the cycles it skips). */
-    void
-    sleepCycles(Cycle n)
-    {
-        if (sleep_.attribute)
-            addSkippedCycles(sleep_.cls, n);
-        sleptCycles_ += n;
-    }
-
-    /** Cycles this node slept instead of ticking, jumps included. */
+    /** Cycles this node slept instead of ticking, jumps included
+     *  (exact after a settle). */
     Cycle sleptCycles() const { return sleptCycles_; }
 
     /** Cycles of the RAW-stall batches this node slept through. */
@@ -214,7 +222,10 @@ class Processor
     /** All loaded contexts have finished their threads. */
     bool allFinished() const;
 
-    /** True when every issued instruction has retired. */
+    /** True when every issued instruction has retired. Reads
+     *  inflight_, so it is exact only after a settle (settleSleep):
+     *  a sleeping node retires what came due inside its sleep when
+     *  it settles. */
     bool drained() const { return inflight_.empty(); }
 
     /** Squash events observed (for Table 4 style microtests). */
@@ -274,7 +285,9 @@ class Processor
     /**
      * Apply a (possibly routed) sync wake to context @p c. This is
      * the only write another node makes into this pipeline, and no
-     * sleep plan foresees it, so it ends any sleep at once.
+     * sleep plan foresees it, so it ends any sleep at once: the node
+     * takes its turn in this cycle if it has not taken it yet, else
+     * in the next, and settles then.
      */
     void
     applyWake(CtxId c, Cycle resume_at)
@@ -377,16 +390,21 @@ class Processor
      * hazard-stall path. @p why is the classification the caller
      * attributed for this tick; the capAt breakpoints keep it valid
      * for the whole window. Caps the window at every event that could
-     * make a skipped cycle differ from this one: a retire or
-     * miss-detect coming due, another context waking, or a
+     * make a skipped cycle differ from this one: a miss detection
+     * coming due, another context waking under interleaving (under
+     * single and blocked the resident context keeps the slot), or a
      * classification breakpoint (FU-free / register-ready crossing).
      */
     void noteStallBatch(int c, const MicroOp &op, Cycle fu_free,
                         CycleClass why, Cycle startable, Cycle now);
 
     /** turn()'s plan attempt: sleep on a granted planFastForward
-     *  window (owner rotation committed), disarm on a declined one. */
-    void planSleep(Cycle now, Cycle limit);
+     *  window and return true, or disarm on a declined one. */
+    bool planSleep(Cycle now, Cycle limit);
+
+    /** settleSleep's replay and attribution of [sleepFrom_,
+     *  @p through). */
+    void replaySleep(Cycle through);
 
     SyncManager::WakeFn wakeFn(CtxId c);
 
@@ -447,12 +465,12 @@ class Processor
     /**
      * RAW-stall batch the last tick() recorded (until 0: none). When
      * that tick's only obstacle was a short register/FU ready time
-     * (single issue, exactly one available context, no retire, miss
-     * or stall-timer event due inside the window, switch hint off,
-     * constant stall classification), every cycle in [tick + 1,
-     * until) would re-run the same owner selection and hazard check,
-     * attribute one slot of `cls`, emit no probe event and mutate
-     * nothing, so turn() sleeps through them.
+     * (single issue, no other context that could take the slot, no
+     * miss event due inside the window, switch hint off, constant
+     * stall classification), every cycle in [tick + 1, until) would
+     * re-run the same owner selection and hazard check, attribute one
+     * slot of `cls`, emit no probe event and mutate nothing but
+     * retirements, so turn() sleeps through them.
      */
     struct StallBatch
     {
@@ -462,6 +480,8 @@ class Processor
     StallBatch batch_;
     /** Current sleep (see turn()); over once until <= now. */
     FastForwardPlan sleep_;
+    /** First slept cycle not yet settled (kCycleNever: none). */
+    Cycle sleepFrom_ = kCycleNever;
     /** Plan at the next awake turn (see turn()). */
     bool armed_ = true;
     Cycle sleptCycles_ = 0;

@@ -82,10 +82,11 @@ class ShardRouter final : public Processor::WakeRouter
  * node of a shard; plans[i] receives nodes[i]'s plan. Two-phase:
  * each node plans against the window the nodes before it left (a
  * plan stays valid on any prefix of itself), and only when all of
- * them prove one are the plans committed. Returns the common window
- * end, or 0 when a node issued last tick, hit a short stall, or
- * declines. planFastForward only grants windows of two or more
- * cycles, so a returned window always is one.
+ * them prove one does every node sleep on its plan cut to the common
+ * end, which it settles like a run-loop sleep. Returns that end, or
+ * 0 when a node issued last tick, hit a short stall, or declines.
+ * planFastForward only grants windows of two or more cycles, so a
+ * returned window always is one.
  */
 Cycle
 planSkipWindow(std::span<Processor *const> nodes, Cycle now,
@@ -102,8 +103,8 @@ planSkipWindow(std::span<Processor *const> nodes, Cycle now,
         until = std::min(until, plans[i].until);
     }
     for (std::size_t i = 0; i < nodes.size(); ++i) {
-        if (plans[i].needOwnerCommit)
-            nodes[i]->beginFastForward(now);
+        plans[i].until = until;
+        nodes[i]->sleepOn(now, plans[i]);
     }
     return until;
 }
@@ -198,13 +199,11 @@ MpSystem::runRelaxedParallel(Cycle end)
                     planSkipWindow(shard, c, to, plans.data());
                 if (until != 0) {
                     // Node events are node-local here, so each node
-                    // drains and is attributed on its own.
+                    // drains and settles its sleep on its own.
                     for (ProcId p = lo; p < hi; ++p) {
                         if (mem_.nextNodeTickAt(p) <= until - 1)
                             mem_.tickNode(p, until - 1);
-                        if (plans[p - lo].attribute)
-                            procs_[p]->addSkippedCycles(
-                                plans[p - lo].cls, until - c);
+                        procs_[p]->settleSleep(until);
                     }
                     c = until;
                     continue;

@@ -134,12 +134,13 @@ MpSystem::run(Cycle max_cycles)
             MTSIM_PROF_SCOPE("pipeline");
             // Node i takes its turn after nodes 0..i-1 took theirs in
             // now_, so it plans against exactly the state its lockstep
-            // tick would see, wakes from those nodes included.
+            // tick would see, wakes from those nodes included. A
+            // sleeping node is skipped; a wake ends its sleep at once.
             for (const auto &p : procs_) {
-                if (ffEnabled_)
-                    p->turn(now_, end);
-                else
+                if (!ffEnabled_)
                     p->tick(now_);
+                else if (!p->asleep(now_))
+                    p->turn(now_, end);
                 all_asleep = all_asleep && p->asleep(now_ + 1);
             }
         }
@@ -148,6 +149,7 @@ MpSystem::run(Cycle max_cycles)
         if ((now_ & 63) == 0 && finished())
             break;
     }
+    obs_.settle(now_);
     measured_ = now_ - obs_.statsStart();
     return measured_;
 }

@@ -133,10 +133,12 @@ class MpSystem
     /**
      * Enable or disable node sleep and the clock jump (default on).
      * A node that proves it cannot issue before a known future cycle
-     * sleeps until then, its slots attributed cycle by cycle without
-     * a tick; a sync wake ends the sleep at once. When every node
-     * sleeps the clock jumps to the earliest end of a sleep. Off,
-     * the run is pure lockstep. Results are bit-identical either way.
+     * sleeps until then: the loop skips it, and it settles its sleep
+     * (retirements replayed, slots attributed) when it next takes a
+     * turn or its state is read; a sync wake ends the sleep at once.
+     * When every node sleeps the clock jumps to the earliest end of a
+     * sleep. Off, the run is pure lockstep. Results are bit-identical
+     * either way.
      */
     void setFastForward(bool on) { ffEnabled_ = on; }
 

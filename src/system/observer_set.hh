@@ -119,8 +119,19 @@ class ObserverSet
     /** True when an attached observer needs every cycle's state. */
     bool cycleExact() const { return checker_ || why_ || sampler_; }
 
+    /** Settle every node's sleep through @p through (see
+     *  Processor::settleSleep). */
+    void
+    settle(Cycle through)
+    {
+        for (Processor *n : nodes_)
+            n->settleSleep(through);
+    }
+
     /** Reset every node's statistics at @p now and rebase the
-     *  checker and the ledger onto the new epoch. */
+     *  checker and the ledger onto the new epoch. The nodes must be
+     *  settled through the clear (onCycle and the ends of the run
+     *  loops do that). */
     void
     clearStats(Cycle now)
     {
@@ -157,13 +168,18 @@ class ObserverSet
     Cycle statsStart() const { return statsStart_; }
 
     /**
-     * End cycle @p c, after every node took its turn in it (a tick,
-     * or one attributed cycle of its sleep): checker, ledger, a
-     * requested stats clear, sampler, then progress meter.
+     * End cycle @p c, after every awake node took its turn in it:
+     * checker, ledger, a requested stats clear, sampler, then
+     * progress meter. Those that read node state see every node
+     * settled through @p c, as its lockstep tick would have left it:
+     * a stats clear counts the cycles slept up to it in the old
+     * epoch, because the MP stats barrier can land mid-sleep.
      */
     void
     onCycle(Cycle c)
     {
+        if (clearPending_ || cycleExact())
+            settle(c + 1);
         if (checker_) {
             MTSIM_PROF_SCOPE("checker");
             checker_->onCycleEnd(c);
@@ -185,11 +201,12 @@ class ObserverSet
      * @p limit; returns false, with @p now unchanged, when that is
      * not past @p now. Memory drains once (event callbacks keep their
      * original timestamps, so this is order-identical to the
-     * per-cycle drains) and each node attributes the window as its
-     * sleep's plan says. The ledger, sampler and progress meter take
-     * the window whole: no busy slot can accrue inside it. With a
-     * checker attached the jump is refused, and the sleeping nodes
-     * take their turns cycle by cycle, the lockstep stream it audits.
+     * per-cycle drains); each node settles the window with the rest
+     * of its sleep. The ledger, sampler and progress meter take the
+     * window whole, after the nodes settle it: no busy slot can
+     * accrue inside it. With a checker attached the jump is refused,
+     * and the loop visits every cycle, settling the sleeping nodes at
+     * each cycle's end: the lockstep stream the checker audits.
      */
     template <class Mem>
     bool
@@ -205,9 +222,10 @@ class ObserverSet
             return false;
         if (mem.nextTickAt() <= until - 1)
             mem.tick(until - 1);
-        for (std::size_t i = 0; i < nodes_.size(); ++i) {
-            nodes_[i]->sleepCycles(until - now);
-            if (why_) {
+        if (cycleExact())
+            settle(until);
+        if (why_) {
+            for (std::size_t i = 0; i < nodes_.size(); ++i) {
                 const Processor::FastForwardPlan &plan =
                     nodes_[i]->sleepPlan();
                 why_->onBulkWindow(static_cast<ProcId>(i), now, until,

@@ -111,6 +111,9 @@ UniSystem::runLoop(Cycle end)
         }
         if (sched_acts) {
             MTSIM_PROF_SCOPE("os");
+            // An OS swap drops in-flight ops: first retire what the
+            // sleep that ends here owes.
+            proc_.settleSleep(now_);
             sched_.tick(now_);
             // A new slice moves the sleep limit, and an OS swap
             // changes the context picture behind the armed flag.
@@ -121,7 +124,9 @@ UniSystem::runLoop(Cycle end)
             if (ffEnabled_) {
                 // No sleep may cross the scheduler's next action (its
                 // tick is a provable no-op only before then).
-                proc_.turn(now_, std::min(end, sched_.nextActionCycle()));
+                if (!proc_.asleep(now_))
+                    proc_.turn(now_,
+                               std::min(end, sched_.nextActionCycle()));
                 asleep = proc_.asleep(now_ + 1);
             } else {
                 proc_.tick(now_);
@@ -130,6 +135,7 @@ UniSystem::runLoop(Cycle end)
         obs_.onCycle(now_);
         ++now_;
     }
+    obs_.settle(now_);
 }
 
 double

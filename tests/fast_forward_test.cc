@@ -25,6 +25,7 @@
 #include "splash/splash_suite.hh"
 #include "system/mp_system.hh"
 #include "system/uni_system.hh"
+#include "workload/emitter.hh"
 #include "workload/program.hh"
 
 namespace mtsim {
@@ -94,10 +95,10 @@ TEST(FastForward, UniWindowsActuallyFire)
         Cycle slept;
     };
     const Pin pins[] = {
-        {Scheme::Single, 1, 179678, 175752, 180687},
-        {Scheme::Blocked, 4, 12332, 1, 13273},
-        {Scheme::Interleaved, 1, 178219, 175328, 178750},
-        {Scheme::Interleaved, 4, 57277, 1000, 61237},
+        {Scheme::Single, 1, 222943, 209447, 225112},
+        {Scheme::Blocked, 4, 48627, 33915, 50542},
+        {Scheme::Interleaved, 1, 216686, 212252, 218942},
+        {Scheme::Interleaved, 4, 70678, 1704, 74209},
     };
     for (const Pin &pin : pins) {
         UniSystem sys(Config::make(pin.scheme, pin.contexts));
@@ -125,8 +126,8 @@ TEST(FastForward, MpWindowsActuallyFire)
         std::uint64_t sleptNodeCycles;
     };
     const Pin pins[] = {
-        {1, 71462, 2790548},
-        {4, 1676, 600023},
+        {1, 119315, 2952574},
+        {4, 4482, 815182},
     };
     for (const Pin &pin : pins) {
         MpSystem sys(
@@ -170,10 +171,10 @@ TEST(FastForward, AttemptAndRefillCountsArePinned)
         std::uint64_t refills;
     };
     const Pin pins[] = {
-        {false, 1, 23587, 40},
-        {false, 4, 4863, 93},
-        {true, 1, 35389, 208},
-        {true, 4, 425, 256},
+        {false, 1, 29688, 40},
+        {false, 4, 4800, 93},
+        {true, 1, 43818, 208},
+        {true, 4, 1559, 256},
     };
     prof::Profiler &profiler = prof::Profiler::instance();
     for (const Pin &pin : pins) {
@@ -356,6 +357,191 @@ perfbenchMixes()
 INSTANTIATE_TEST_SUITE_P(PerfbenchMixes, FastForwardSlices,
                          ::testing::ValuesIn(perfbenchMixes()),
                          [](const auto &info) { return info.param; });
+
+// ---- retirements inside a sleep ------------------------------------
+// A sleep no longer ends at an in-flight op's retirement: the node
+// replays its retirements when it settles. Each test below compares
+// whole signatures with lockstep where a wrong settle would show.
+
+/**
+ * Thread @p tid of lockRoundsApp: @p tid + 1 staggered warm-up rounds
+ * (so the stats barrier's last arrival finds the earlier threads
+ * asleep on it, their barrier op still in flight), then rounds of an
+ * fdiv chain (ops in flight behind a long stall) followed by a
+ * lock-protected update whose Lock waits on the sync fence.
+ */
+KernelCoro
+lockRoundsThread(Emitter &e, std::uint32_t tid, Addr counter, Addr mine)
+{
+    for (std::uint32_t r = 0; r <= tid; ++r) {
+        RegId v = e.iop();
+        for (int k = 0; k < 12; ++k)
+            v = e.iop(v);
+        e.store(mine, v);
+        co_await e.pause();
+    }
+    e.barrier(kStatsBarrier);
+    co_await e.pause();
+    for (std::uint32_t r = 0; r < 24; ++r) {
+        RegId x = e.fload(mine + 8 * (r % 4));
+        RegId y = e.fdiv(x, e.fadd(x));
+        e.store(mine + 32, e.fmul(y, y));
+        e.iop();
+        e.lock(r % 2);
+        e.store(counter + 64 * (r % 2), e.iop(e.load(counter)));
+        e.unlock(r % 2);
+        co_await e.pause();
+    }
+    e.barrier(1);
+}
+
+ParallelAppFn
+lockRoundsApp()
+{
+    return [](std::uint32_t n_threads, AddressSpace &shared,
+              std::uint64_t) {
+        const Addr counter = shared.alloc(128);
+        std::vector<KernelFn> kernels;
+        for (std::uint32_t t = 0; t < n_threads; ++t) {
+            const Addr mine = shared.alloc(64);
+            kernels.push_back([t, counter, mine](Emitter &e) {
+                return lockRoundsThread(e, t, counter, mine);
+            });
+        }
+        return kernels;
+    };
+}
+
+const std::pair<Scheme, std::uint8_t> kLockRoundsConfigs[] = {
+    {Scheme::Single, 1},
+    {Scheme::Interleaved, 1},
+    {Scheme::Blocked, 2},
+    {Scheme::Interleaved, 4},
+};
+
+TEST(FastForward, LockFenceLiftsInsideASleep)
+{
+    // A Lock behind in-flight ops plans a Sync sleep that must end in
+    // the cycle the last of them retires, where lockstep issues it.
+    // With the checker attached every node also settles at every
+    // cycle's end, so the slot audit sees each slept cycle.
+    for (const auto &[scheme, contexts] : kLockRoundsConfigs) {
+        const Config cfg = Config::makeMp(scheme, contexts, 4);
+        for (const bool check : {false, true}) {
+            const RunSignature off =
+                mpSignature(cfg, lockRoundsApp(), check, 2000000, false);
+            const RunSignature on =
+                mpSignature(cfg, lockRoundsApp(), check, 2000000, true);
+            EXPECT_EQ(off, on)
+                << "scheme " << static_cast<int>(scheme) << " contexts "
+                << static_cast<int>(contexts) << (check ? " checked" : "")
+                << "\n  ff off: " << describe(off)
+                << "\n  ff on:  " << describe(on);
+            EXPECT_EQ(on.checkViolations, 0u);
+        }
+    }
+}
+
+/** Per-thread retired counts of an MP run from the stats barrier. */
+std::vector<std::uint64_t>
+retiredPerThread(const Config &cfg, const ParallelAppFn &app, bool ff)
+{
+    MpSystem sys(cfg);
+    sys.setFastForward(ff);
+    sys.setStatsBarrier(kStatsBarrier);
+    sys.loadApp(app);
+    sys.run();
+    std::vector<std::uint64_t> out;
+    for (std::uint32_t t = 0; t < sys.numThreads(); ++t)
+        out.push_back(sys.processor(static_cast<ProcId>(
+                                        t % cfg.numProcessors))
+                          .retiredForApp(t));
+    return out;
+}
+
+TEST(FastForward, StatsClearSettlesSleepingNodes)
+{
+    // The stats barrier releases while lower-numbered nodes sleep on
+    // it with their barrier op due to retire: those retirements
+    // belong to the warm-up, before the clear.
+    for (const auto &[scheme, contexts] : kLockRoundsConfigs) {
+        const Config cfg = Config::makeMp(scheme, contexts, 4);
+        EXPECT_EQ(retiredPerThread(cfg, lockRoundsApp(), false),
+                  retiredPerThread(cfg, lockRoundsApp(), true))
+            << "scheme " << static_cast<int>(scheme) << " contexts "
+            << static_cast<int>(contexts);
+    }
+}
+
+TEST(FastForward, OsSwapSettlesTheSleepFirst)
+{
+    // A new resident set every 397 cycles: each swap lands where a
+    // sleep capped at the scheduler's action ends, often still owing
+    // retirements that lockstep made before the swap dropped the
+    // rest of the pipeline.
+    for (const std::uint8_t contexts : {1, 2}) {
+        Config cfg = Config::make(contexts == 1 ? Scheme::Single
+                                                : Scheme::Interleaved,
+                                  contexts);
+        cfg.os.timeSliceCycles = 397;
+        cfg.os.affinitySlices = 1;
+        const UniApps apps = mixApps("R0");
+        const RunSignature off =
+            uniSignature(cfg, apps, 20000, 60000, false, false);
+        const RunSignature on =
+            uniSignature(cfg, apps, 20000, 60000, false, true);
+        EXPECT_EQ(off, on) << "contexts " << static_cast<int>(contexts)
+                           << "\n  ff off: " << describe(off)
+                           << "\n  ff on:  " << describe(on);
+    }
+}
+
+TEST(FastForward, ResidentContextBatchesWhateverTheOthersDo)
+{
+    // Blocked/4 batches its resident context's RAW stalls however many
+    // other contexts wake inside the batch; interleaved/4 must stop
+    // where one wakes. A small switch-hint threshold makes hints
+    // common: a batch must never cover a cycle where one would fire.
+    for (const Scheme scheme : {Scheme::Blocked, Scheme::Interleaved}) {
+        for (const char *mix : {"R0", "DC"}) {
+            Config cfg = Config::make(scheme, 4);
+            cfg.switchHintThreshold = 3;
+            const UniApps apps = mixApps(mix);
+            const RunSignature off =
+                uniSignature(cfg, apps, 20000, 60000, false, false);
+            const RunSignature on =
+                uniSignature(cfg, apps, 20000, 60000, false, true);
+            EXPECT_EQ(off, on)
+                << mix << " scheme " << static_cast<int>(scheme)
+                << "\n  ff off: " << describe(off)
+                << "\n  ff on:  " << describe(on);
+
+            UniSystem sys(cfg);
+            for (const auto &[name, kernel] : apps)
+                sys.addApp(name, kernel);
+            sys.run(20000, 60000);
+            EXPECT_GT(sys.stallBatchedCycles(), 0u)
+                << mix << " scheme " << static_cast<int>(scheme);
+        }
+    }
+}
+
+TEST(FastForward, MpMemoryTickSkipsOnlyBeforeTheNextFill)
+{
+    // MpMemSystem::nextTickAt reads the event heap alone: every MSHR
+    // allocation is paired with a fill event at its completion, so no
+    // node's next completion may precede the heap's top. Checked
+    // after every cycle of a lockstep run (run(1) cannot sleep).
+    MpSystem sys(Config::makeMp(Scheme::Interleaved, 2, 4));
+    sys.loadApp(splashApp("water"));
+    std::uint64_t violations = 0;
+    for (Cycle c = 0; c < 60000 && !sys.finished(); ++c) {
+        sys.run(1);
+        violations += sys.mem().fillsCoverMshrs() ? 0 : 1;
+    }
+    EXPECT_EQ(violations, 0u);
+    EXPECT_GT(sys.mem().mshrs(0).allocations(), 0u);
+}
 
 } // namespace
 } // namespace mtsim

@@ -249,10 +249,10 @@ TEST_F(ProfilerTest, CanonicalRunsStayWithinTheirAllocationBudget)
         std::uint64_t recorded;
     };
     const Budget budgets[] = {
-        {"uni/interleaved/1ctx/R0", false, 1, 167},
+        {"uni/interleaved/1ctx/R0", false, 1, 164},
         {"uni/interleaved/4ctx/R0", false, 4, 199},
-        {"mp/interleaved/1ctx/water/8p", true, 1, 23080},
-        {"mp/interleaved/4ctx/water/8p", true, 4, 27772},
+        {"mp/interleaved/1ctx/water/8p", true, 1, 1020},
+        {"mp/interleaved/4ctx/water/8p", true, 4, 1761},
     };
     for (const Budget &b : budgets) {
         const std::uint64_t allocs = allocsOfCanonicalRun(b.mp, b.contexts);
